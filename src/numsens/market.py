@@ -51,16 +51,16 @@ class MarketModel:
         if np.any(np.abs(sums - 1.0) > 1e-10):
             raise ContractViolationError("theta components must sum to 1 at every node")
 
-        jump = np.max(np.abs(self.rbar_increments())) if self.tree.n_nodes > 1 else 0.0
+        jump = float(np.max(np.abs(self.rbar_increments()))) if self.tree.n_nodes > 1 else 0.0
         eps_max = math.inf if jump <= JUMP_TOL else 1.0 / (2.0 * jump)
-        if self.eps0 is None:
-            object.__setattr__(self, "eps0", eps_max)
-        elif self.eps0 <= 0.0:
+        eps0 = eps_max if self.eps0 is None else float(self.eps0)
+        if eps0 <= 0.0:
             raise ContractViolationError("eps0 must be positive")
-        elif self.eps0 > eps_max * (1.0 + 1e-12):
+        if eps0 > eps_max * (1.0 + 1e-12):
             raise ContractViolationError(
-                f"eps0={self.eps0!r} exceeds the jump bound 1/(2·max|jump|)={eps_max!r}"
+                f"eps0={eps0!r} exceeds the jump bound 1/(2·max|jump|)={eps_max!r}"
             )
+        object.__setattr__(self, "eps0", eps0)
 
     @property
     def d(self) -> int:
@@ -107,9 +107,6 @@ class PerturbationStats:
     c_max: float                     # +inf on a finite tree
     c: float = None
     exp_moment: float = None         # E[exp(c(|F|+G))] under the supplied weights
-
-    def as_tuple(self):
-        return self.F, self.G, self.c_max
 
 
 def perturbation_statistics(m: MarketModel, c: float = None, leaf_weights=None) -> PerturbationStats:
@@ -193,7 +190,7 @@ def market_from_obj(obj: dict):
     d = int(obj["assets"])
     steps = int(obj["steps"])
 
-    parent, prob, theta_rows, dR_rows = [-1], [1.0], [None], [np.zeros(d)]
+    parent, prob, theta_rows, dR_rows = [-1], [1.0], [np.zeros(d + 1)], [np.zeros(d)]
     queue = [(0, obj["root"], 0)]
     order = 0
     while order < len(queue):
@@ -224,16 +221,12 @@ def market_from_obj(obj: dict):
     tree = EventTree(parent, prob)
 
     inc = np.zeros((tree.n_nodes, d + 1))
-    for i in range(1, tree.n_nodes):
-        inc[i, 1:] = dR_rows[i]
-    theta_vals = np.zeros((tree.n_nodes, d + 1))
-    for i in range(1, tree.n_nodes):
-        theta_vals[i] = theta_rows[i]
+    inc[:, 1:] = dR_rows
 
     model = MarketModel(
         tree=tree,
         returns=AdaptedProcess.from_increments(tree, inc, start=0.0),
-        theta=PredictableProcess(tree, theta_vals),
+        theta=PredictableProcess(tree, np.array(theta_rows)),
         eps0=float(obj["eps0"]) if "eps0" in obj else None,
     )
     utility = Utility.from_obj(obj["utility"]) if "utility" in obj else None

@@ -21,7 +21,7 @@ from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .sensitivity import ExpansionReport, MartingaleBasis, orthogonal_spans
 from .solver import AttainableSpace, Optimum, attainable_space, solve_pair
-from .tree import AdaptedProcess
+from .tree import AdaptedProcess, process_from_coefficients
 
 _REPLICATION_TOL = 1e-8
 
@@ -59,12 +59,7 @@ def risk_tolerance(m: MarketModel, utility: Utility, x: float, *,
         return RiskToleranceProcess(exists=False, certificate=certificate, payoff=payoff)
 
     z = float(sol[0])
-    vals = np.full(tree.n_nodes, z)
-    for node in tree.internal_nodes:
-        sp = space.spans[int(node)]
-        ch = tree.children[node]
-        inc = sp.directions @ sol[1:][space.col_of[int(node)]] if sp.rank else np.zeros(len(ch))
-        vals[ch] = vals[node] + inc
+    vals = process_from_coefficients(tree, space.blocks, sol[1:], z)
     if np.any(vals <= 0.0):
         raise InvariantViolationError("replicating process of a positive payoff went nonpositive")
     return RiskToleranceProcess(exists=True, certificate=certificate, payoff=payoff,

@@ -21,7 +21,7 @@ from .errors import ContractViolationError
 from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .solver import Optimum, solve_pair
-from .tree import EventTree
+from .tree import EventTree, payoff_matrix, process_from_coefficients
 
 _ORTH_TOL = 1e-12
 
@@ -60,35 +60,19 @@ class MartingaleBasis:
     def dual_dim(self):
         return self.Psi.shape[1]
 
+    def blocks(self, side: str) -> list:
+        """(node, first column, vectors) of one side's spans."""
+        if side == "primal":
+            return _blocks(self.primal_nodes, self.primal_slices)
+        return _blocks(self.dual_nodes, self.dual_slices)
+
     def expand_process(self, side: str, coeffs: np.ndarray) -> np.ndarray:
         """Node values of the martingale with the given basis coefficients."""
-        nodes = self.primal_nodes if side == "primal" else self.dual_nodes
-        slices = self.primal_slices if side == "primal" else self.dual_slices
-        inc = {}
-        for nv in nodes:
-            c = self.tree.children[nv.node]
-            local = nv.vectors @ coeffs[slices[nv.node]]
-            for ci, v in zip(c, local):
-                inc[int(ci)] = v
-        out = np.zeros(self.tree.n_nodes)
-        for i in range(1, self.tree.n_nodes):
-            out[i] = out[self.tree.parent[i]] + inc.get(i, 0.0)
-        return out
+        return process_from_coefficients(self.tree, self.blocks(side), coeffs)
 
 
-def _terminal_matrix(tree, nodes, slices, dim, anc):
-    Phi = np.zeros((tree.n_leaves, dim))
-    child_row = {}
-    for nv in nodes:
-        for r, c in enumerate(tree.children[nv.node]):
-            child_row[int(c)] = r
-    for nv in nodes:
-        t = int(tree.time[nv.node])
-        sl = slices[nv.node]
-        for j in range(tree.n_leaves):
-            if anc[j, t] == nv.node:
-                Phi[j, sl] += nv.vectors[child_row[int(anc[j, t + 1])]]
-    return Phi
+def _blocks(nodes, slices):
+    return [(nv.node, slices[nv.node].start, nv.vectors) for nv in nodes]
 
 
 def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> MartingaleBasis:
@@ -132,15 +116,8 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
                 f"span dimensions at node {node} do not fill the one-step space"
             )
 
-    anc = np.zeros((tree.n_leaves, tree.steps + 1), dtype=np.int64)
-    for j, leaf in enumerate(tree.leaves):
-        node = int(leaf)
-        for t in range(tree.steps, -1, -1):
-            anc[j, t] = node
-            node = int(tree.parent[node]) if node != 0 else 0
-
-    Phi = _terminal_matrix(tree, primal_nodes, primal_slices, pcol, anc)
-    Psi = _terminal_matrix(tree, dual_nodes, dual_slices, dcol, anc)
+    Phi = payoff_matrix(tree, _blocks(primal_nodes, primal_slices), pcol)
+    Psi = payoff_matrix(tree, _blocks(dual_nodes, dual_slices), dcol)
     return MartingaleBasis(tree=tree, weights=r, child_weights=child_w,
                            primal_nodes=primal_nodes, dual_nodes=dual_nodes,
                            Phi=Phi, Psi=Psi,

@@ -34,7 +34,13 @@ from .errors import (
 )
 from .market import MarketModel, numeraire, perturbed_prices
 from .preferences import Utility
-from .tree import AdaptedProcess, EventTree, PredictableProcess
+from .tree import (
+    AdaptedProcess,
+    EventTree,
+    PredictableProcess,
+    payoff_matrix,
+    process_from_coefficients,
+)
 
 _RANK_TOL = 1e-12
 _ARB_TOL = 1e-11
@@ -60,9 +66,8 @@ class AttainableSpace:
     tree: EventTree
     spans: dict = field(repr=False)        # node -> NodeSpan
     W: np.ndarray = field(repr=False)      # (n_leaves, total_rank) payoff matrix
-    col_of: dict = field(repr=False)       # node -> slice into W's columns
     complete: bool
-    ancestors: np.ndarray = field(repr=False)  # (n_leaves, steps+1) node ids along paths
+    blocks: list = field(repr=False)       # (node, first column, directions), rank > 0
     col_reach: np.ndarray = field(repr=False, default=None)  # reach prob per column
 
     @property
@@ -101,7 +106,8 @@ def _one_step_arbitrage(D: np.ndarray) -> bool:
 def attainable_space(m: MarketModel) -> AttainableSpace:
     tree = m.tree
     dR = m.returns.increments()
-    spans = {}
+    spans, blocks = {}, []
+    col = 0
     complete = True
     for node in tree.internal_nodes:
         ch = tree.children[node]
@@ -112,45 +118,22 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
             )
         u_, s, _ = np.linalg.svd(D, full_matrices=False)
         rank = int(np.sum(s > _RANK_TOL * max(s[0] if s.size else 0.0, 1e-300)))
-        spans[int(node)] = NodeSpan(
-            node=int(node),
+        node = int(node)
+        sp = spans[node] = NodeSpan(
+            node=node,
             directions=u_[:, :rank].copy(),
             rank=rank,
             redundant=rank < min(D.shape),
         )
+        if rank:
+            blocks.append((node, col, sp.directions))
+        col += rank
         if rank != len(ch) - 1:
             complete = False
 
-    anc = np.zeros((tree.n_leaves, tree.steps + 1), dtype=np.int64)
-    for j, leaf in enumerate(tree.leaves):
-        node = int(leaf)
-        for t in range(tree.steps, -1, -1):
-            anc[j, t] = node
-            node = int(tree.parent[node]) if node != 0 else 0
-
-    total = sum(sp.rank for sp in spans.values())
-    W = np.zeros((tree.n_leaves, total))
-    col_of = {}
-    reach = np.ones(total)
-    col = 0
-    child_row = {}
-    for node, sp in spans.items():
-        for r, c in enumerate(tree.children[node]):
-            child_row[int(c)] = r
-        col_of[node] = slice(col, col + sp.rank)
-        reach[col:col + sp.rank] = tree.path_prob[node]
-        col += sp.rank
-    for node in tree.internal_nodes:
-        sp = spans[int(node)]
-        if sp.rank == 0:
-            continue
-        t = int(tree.time[node])
-        sl = col_of[int(node)]
-        for j in range(tree.n_leaves):
-            if anc[j, t] == node:
-                W[j, sl] = sp.directions[child_row[int(anc[j, t + 1])]]
-    return AttainableSpace(tree=tree, spans=spans, W=W, col_of=col_of,
-                           complete=complete, ancestors=anc, col_reach=reach)
+    reach = np.repeat(tree.path_prob[tree.internal_nodes], [sp.rank for sp in spans.values()])
+    return AttainableSpace(tree=tree, spans=spans, W=payoff_matrix(tree, blocks, col),
+                           complete=complete, blocks=blocks, col_reach=reach)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +193,7 @@ class Optimum:
 
 def _complete_tree_terminal(space, tree, p, N, x, utility):
     """Unique pricing weights + budget root-find; returns leaf wealth Z."""
-    qnode = {}
+    q_child = np.ones(tree.n_nodes)
     for node, sp in space.spans.items():
         ch = tree.children[node]
         k = len(ch)
@@ -224,12 +207,9 @@ def _complete_tree_terminal(space, tree, p, N, x, utility):
             q = q / q.sum()
         if np.any(q <= 0.0):
             raise InvariantViolationError("pricing weights not positive on a no-arbitrage node")
-        qnode[node] = q
+        q_child[tree.children[node]] = q
 
-    Q = np.ones(tree.n_nodes)
-    for node, q in qnode.items():
-        for qi, c in zip(q, tree.children[node]):
-            Q[c] = Q[node] * qi
+    Q = tree.cumulate(q_child, 1.0, np.multiply)
     Ql = Q[tree.leaves]
     Nl = N.values[tree.leaves]
 
@@ -359,7 +339,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
         alpha = None
     else:
         Z_leaf, alpha = _newton_terminal(space, tree, p, N, x, utility, tol, max_iter)
-        Z_nodes = _accumulate_wealth(tree, space, alpha, x)
+        Z_nodes = process_from_coefficients(tree, space.blocks, alpha, float(x))
 
     if np.any(Z_nodes <= 0.0):
         raise InvariantViolationError("optimal wealth failed strict positivity")
@@ -391,24 +371,13 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
                           foc_residual=foc, diagnostics=diag)
 
 
-def _accumulate_wealth(tree, space, alpha, x):
-    vals = np.full(tree.n_nodes, float(x))
-    for node in tree.internal_nodes:
-        sp = space.spans[int(node)]
-        ch = tree.children[node]
-        inc = sp.directions @ alpha[space.col_of[int(node)]] if sp.rank else np.zeros(len(ch))
-        vals[ch] = vals[node] + inc
-    return vals
-
-
 def _returns_of_prices(tree, prices: AdaptedProcess) -> AdaptedProcess:
     """Cumulative simple returns of each price component (starting at 0)."""
     S = prices.values
-    out = np.zeros_like(S)
-    for i in range(1, tree.n_nodes):
-        par = tree.parent[i]
-        out[i] = out[par] + (S[i] - S[par]) / S[par]
-    return AdaptedProcess(tree, out)
+    par = tree.parent[1:]
+    inc = np.zeros_like(S)
+    inc[1:] = (S[1:] - S[par]) / S[par]
+    return AdaptedProcess(tree, tree.cumulate(inc, 0.0))
 
 
 def _proportions_from_wealth(tree, wealth: AdaptedProcess, returns: AdaptedProcess

@@ -37,17 +37,12 @@ _FLOOR_ABS = 1e-12    # absolute value-solve floor feeding the probe allowance
 
 @dataclass(frozen=True)
 class Characteristics:
-    """Triplet of the return process under the truncation x·1{|x|<=1},
-    plus the operational clock and densities with respect to it.  The
-    continuous part vanishes identically on a tree."""
+    """Triplet of the return process under the truncation x·1{|x|<=1}.
+    The continuous part vanishes identically on a tree."""
 
     B: AdaptedProcess                       # predictable finite-variation part
     C: AdaptedProcess                       # identically zero
     jump_compensator: dict = field(repr=False)   # node -> (child probs, jumps (k, d+1))
-    A_clock: AdaptedProcess = None
-    b_density: dict = field(repr=False, default=None)   # node -> (d+1,)
-    c_density: dict = field(repr=False, default=None)   # node -> zero matrix
-    eta_density: dict = field(repr=False, default=None) # node -> (k,)
 
 
 def characteristics(m: MarketModel) -> Characteristics:
@@ -55,30 +50,19 @@ def characteristics(m: MarketModel) -> Characteristics:
     dR = m.returns.increments()
     dim = m.d + 1
     Bvals = np.zeros((tree.n_nodes, dim))
-    Avals = np.zeros(tree.n_nodes)
-    comp, b_den, c_den, eta_den = {}, {}, {}, {}
+    comp = {}
     for node in tree.internal_nodes:
         ch = tree.children[node]
         w = tree.prob[ch]
         jumps = dR[ch]
-        norms = np.linalg.norm(jumps, axis=1)
-        small = norms <= 1.0
+        small = np.linalg.norm(jumps, axis=1) <= 1.0
         dB = w[small] @ jumps[small] if np.any(small) else np.zeros(dim)
-        dA = float(np.sum(np.abs(dB))) + float(w @ np.minimum(1.0, norms**2))
         comp[int(node)] = (w.copy(), jumps.copy())
-        b_den[int(node)] = dB / dA if dA > 0.0 else np.zeros(dim)
-        c_den[int(node)] = np.zeros((dim, dim))
-        eta_den[int(node)] = (w / dA) if dA > 0.0 else np.zeros(len(ch))
         Bvals[ch] = Bvals[node] + dB
-        Avals[ch] = Avals[node] + dA
     return Characteristics(
         B=AdaptedProcess(tree, Bvals),
         C=AdaptedProcess(tree, np.zeros(tree.n_nodes)),
         jump_compensator=comp,
-        A_clock=AdaptedProcess(tree, Avals),
-        b_density=b_den,
-        c_density=c_den,
-        eta_density=eta_den,
     )
 
 
@@ -122,11 +106,7 @@ def discount_direction(m: MarketModel, pi: PredictableProcess) -> AdaptedProcess
         raise AdmissibilityError("portfolio one-step growth hit zero; direction not admissible")
     factor = np.zeros(tree.n_nodes)
     factor[1:] = port[1:] / (1.0 + port[1:])
-    inc = dR - factor[:, None] * dR
-    vals = np.zeros_like(dR)
-    for i in range(1, tree.n_nodes):
-        vals[i] = vals[tree.parent[i]] + inc[i]
-    return AdaptedProcess(tree, vals)
+    return AdaptedProcess(tree, tree.cumulate(dR - factor[:, None] * dR, 0.0))
 
 
 def perturbed_return_direction(m: MarketModel, eps: float) -> AdaptedProcess:
@@ -141,10 +121,7 @@ def perturbed_return_direction(m: MarketModel, eps: float) -> AdaptedProcess:
     dre = reps.increments()
     tilt = np.einsum("nd,nd->n", m.theta.values, dre)
     inc = (dre - eps * tilt[:, None]) / (1.0 - eps)
-    vals = np.zeros_like(dre)
-    for i in range(1, tree.n_nodes):
-        vals[i] = vals[tree.parent[i]] + inc[i]
-    return AdaptedProcess(tree, vals)
+    return AdaptedProcess(tree, tree.cumulate(inc, 0.0))
 
 
 @dataclass(frozen=True)

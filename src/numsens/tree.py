@@ -37,6 +37,8 @@ class EventTree:
             raise ContractViolationError("prob must have one entry per node")
         if np.any(parent[1:] >= np.arange(1, n)) or np.any(parent[1:] < 0):
             raise ContractViolationError("nodes must be numbered parents-first")
+        if np.any(np.diff(parent[1:]) < 0):
+            raise ContractViolationError("nodes must be numbered breadth-first (siblings consecutive)")
         if np.any(prob[1:] <= 0.0) or np.any(prob[1:] > 1.0):
             raise ContractViolationError("transition probabilities must lie in (0, 1]")
 
@@ -50,14 +52,19 @@ class EventTree:
         if np.any(np.diff(self.time) < 0):
             raise ContractViolationError("node order must be breadth-first in time")
 
-        children: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            children[parent[i]].append(i)
-        self.children = [np.asarray(c, dtype=np.int64) for c in children]
+        n_children = np.bincount(parent[1:], minlength=n)
+        self.children = np.split(np.arange(1, n), np.cumsum(n_children)[:-1])
         self.steps = int(self.time.max())
-        self.leaves = np.flatnonzero([len(c) == 0 for c in children])
+        self.leaves = np.flatnonzero(n_children == 0)
+        self.internal_nodes = np.flatnonzero(n_children > 0)
         if np.any(self.time[self.leaves] != self.steps):
             raise ContractViolationError("every root-to-leaf path must have the same length")
+        self.levels = np.split(np.arange(n),
+                               np.searchsorted(self.time, np.arange(1, self.steps + 1)))
+        self.ancestors = np.empty((len(self.leaves), self.steps + 1), dtype=np.int64)
+        self.ancestors[:, -1] = self.leaves
+        for t in range(self.steps - 1, -1, -1):
+            self.ancestors[:, t] = parent[self.ancestors[:, t + 1]]
 
         # renormalize child probabilities; reject if they are not already
         # within PROB_TOL of summing to one
@@ -72,18 +79,9 @@ class EventTree:
                 )
             self.prob[c] /= s
 
-        self.path_prob = np.ones(n)
-        p1 = self.parent[1:]
-        for i in range(1, n):
-            self.path_prob[i] = self.path_prob[parent[i]] * self.prob[i]
+        self.path_prob = self.cumulate(self.prob, 1.0, np.multiply)
         if abs(self.path_prob[self.leaves].sum() - 1.0) > PROB_TOL:
             raise ContractViolationError("leaf probabilities do not sum to 1")
-
-        self._leaf_pos = {int(l): k for k, l in enumerate(self.leaves)}
-
-    @property
-    def internal_nodes(self):
-        return np.flatnonzero([len(c) > 0 for c in self.children])
 
     @property
     def n_leaves(self):
@@ -96,67 +94,59 @@ class EventTree:
     def is_leaf(self, node) -> bool:
         return len(self.children[node]) == 0
 
-    def leaf_position(self, node) -> int:
-        return self._leaf_pos[int(node)]
+    # -- the two tree passes ---------------------------------------------
+
+    def cumulate(self, inc, start, op=np.add) -> np.ndarray:
+        """Down from the root: out[0] = start and out[n] = op(out[parent[n]],
+        inc[n]), one level at a time (inc[0] is ignored).  Works row-wise on
+        (n_nodes, dim) arrays."""
+        inc = np.asarray(inc, dtype=float)
+        out = np.empty_like(inc)
+        out[0] = start
+        for nodes in self.levels[1:]:
+            out[nodes] = op(out[self.parent[nodes]], inc[nodes])
+        return out
+
+    def aggregate(self, node_values) -> np.ndarray:
+        """Up from the leaves: each node's value plus the aggregates of its
+        children, which are added in descending node order (as a reverse
+        loop over the nodes would add them)."""
+        out = np.array(node_values, dtype=float)
+        for nodes in self.levels[:0:-1]:
+            nodes = nodes[::-1]
+            np.add.at(out, self.parent[nodes], out[nodes])
+        return out
 
     # -- measure helpers -------------------------------------------------
 
     def node_mass(self, leaf_weights) -> np.ndarray:
         """Total weight of the leaves below each node."""
-        leaf_weights = np.asarray(leaf_weights, dtype=float)
         mass = np.zeros(self.n_nodes)
         mass[self.leaves] = leaf_weights
-        for i in range(self.n_nodes - 1, 0, -1):
-            mass[self.parent[i]] += mass[i]
-        return mass
+        return self.aggregate(mass)
 
     def conditional_expectation(self, leaf_weights, leaf_values) -> np.ndarray:
         """E[Z | F_t] as a node array, under the measure given by leaf weights."""
         leaf_weights = np.asarray(leaf_weights, dtype=float)
         leaf_values = np.asarray(leaf_values, dtype=float)
-        acc = np.zeros(self.n_nodes)
-        mass = np.zeros(self.n_nodes)
-        acc[self.leaves] = leaf_weights * leaf_values
-        mass[self.leaves] = leaf_weights
-        for i in range(self.n_nodes - 1, 0, -1):
-            acc[self.parent[i]] += acc[i]
-            mass[self.parent[i]] += mass[i]
+        sums = np.zeros((self.n_nodes, 2))
+        sums[self.leaves, 0] = leaf_weights * leaf_values
+        sums[self.leaves, 1] = leaf_weights
+        acc, mass = self.aggregate(sums).T
         if np.any(mass <= 0.0):
             raise ContractViolationError("conditional expectation under a vanishing measure")
         return acc / mass
 
-    def child_weights(self, leaf_weights):
-        """Per-node conditional one-step probabilities (list indexed by node)."""
-        mass = self.node_mass(leaf_weights)
-        out = [None] * self.n_nodes
-        for node in self.internal_nodes:
-            c = self.children[node]
-            out[node] = mass[c] / mass[node]
-        return out
-
     def martingale_defect(self, values, leaf_weights) -> float:
         """max_n |E[ΔZ | n]| for a node-indexed scalar process."""
         values = np.asarray(values, dtype=float)
-        worst = 0.0
-        for node, w in zip(self.internal_nodes, self._iter_child_weights(leaf_weights)):
-            c = self.children[node]
-            worst = max(worst, abs(float(w @ values[c]) - values[node]))
-        return worst
-
-    def _iter_child_weights(self, leaf_weights):
         mass = self.node_mass(leaf_weights)
+        worst = 0.0
         for node in self.internal_nodes:
             c = self.children[node]
-            yield mass[c] / mass[node]
-
-    def propagate_down(self, child_values) -> np.ndarray:
-        """Extend values given on the children of one generation to all
-        descendants (constant along paths).  `child_values` maps node id to
-        value; unspecified nodes inherit from their parent (root gets 0)."""
-        out = np.zeros(self.n_nodes)
-        for i in range(1, self.n_nodes):
-            out[i] = child_values.get(i, out[self.parent[i]])
-        return out
+            w = mass[c] / mass[node]
+            worst = max(worst, abs(float(w @ values[c]) - values[node]))
+        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +177,7 @@ class AdaptedProcess:
     @classmethod
     def from_increments(cls, tree: EventTree, inc, start=0.0) -> "AdaptedProcess":
         inc = np.asarray(inc, dtype=float)
-        vals = np.empty_like(inc)
-        vals[0] = start
-        for i in range(1, tree.n_nodes):
-            vals[i] = vals[tree.parent[i]] + inc[i]
-        return cls(tree, vals, inc=inc)
+        return cls(tree, tree.cumulate(inc, start), inc=inc)
 
     @property
     def dim(self) -> int:
@@ -245,12 +231,16 @@ class PredictableProcess:
             raise ContractViolationError("values must be (n_nodes,) or (n_nodes, dim)")
         v = v.copy()
         v[0] = 0.0
-        for node in self.tree.internal_nodes:
-            c = self.tree.children[node]
-            if not np.all(v[c] == v[c[0]]):
-                raise ContractViolationError(
-                    f"predictable process differs across siblings of node {node}"
-                )
+        tree = self.tree
+        # parent ids are sorted, so this finds each node's first sibling
+        differs = v[1:] != v[np.searchsorted(tree.parent, tree.parent[1:])]
+        if differs.ndim == 2:
+            differs = differs.any(axis=1)
+        if np.any(differs):
+            node = tree.parent[1:][differs][0]
+            raise ContractViolationError(
+                f"predictable process differs across siblings of node {node}"
+            )
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -260,8 +250,7 @@ class PredictableProcess:
         step_values = np.asarray(step_values, dtype=float)
         shape = (tree.n_nodes,) if step_values.ndim == 1 else (tree.n_nodes, step_values.shape[1])
         v = np.zeros(shape)
-        for node in tree.internal_nodes:
-            v[tree.children[node]] = step_values[node]
+        v[1:] = step_values[tree.parent[1:]]
         return cls(tree, v)
 
     @property
@@ -303,10 +292,7 @@ def stochastic_integral(H: PredictableProcess, X: AdaptedProcess) -> AdaptedProc
             f"integrand dimension {H.dim} does not match integrator dimension {X.dim}"
         )
     inc = H.values * dX if dX.ndim == 1 else np.einsum("nd,nd->n", H.values, dX)
-    out = np.zeros(tree.n_nodes)
-    for i in range(1, tree.n_nodes):
-        out[i] = out[tree.parent[i]] + inc[i]
-    return AdaptedProcess(tree, out)
+    return AdaptedProcess(tree, tree.cumulate(inc, 0.0))
 
 
 def stochastic_exponential(X: AdaptedProcess) -> AdaptedProcess:
@@ -316,11 +302,7 @@ def stochastic_exponential(X: AdaptedProcess) -> AdaptedProcess:
         raise ContractViolationError("stochastic exponential is defined for scalar processes")
     if X.values[0] != 0.0:
         raise ContractViolationError("stochastic exponential requires X_0 = 0")
-    dX = X.increments()
-    out = np.ones(X.tree.n_nodes)
-    for i in range(1, X.tree.n_nodes):
-        out[i] = out[X.tree.parent[i]] * (1.0 + dX[i])
-    return AdaptedProcess(X.tree, out)
+    return AdaptedProcess(X.tree, X.tree.cumulate(1.0 + X.increments(), 1.0, np.multiply))
 
 
 def quadratic_covariation(X: AdaptedProcess, Y: AdaptedProcess) -> AdaptedProcess:
@@ -329,8 +311,35 @@ def quadratic_covariation(X: AdaptedProcess, Y: AdaptedProcess) -> AdaptedProces
         raise ContractViolationError("quadratic covariation is defined for scalar processes")
     if X.values[0] != 0.0 or Y.values[0] != 0.0:
         raise ContractViolationError("quadratic covariation requires X_0 = Y_0 = 0")
-    inc = X.increments() * Y.increments()
-    out = np.zeros(X.tree.n_nodes)
-    for i in range(1, X.tree.n_nodes):
-        out[i] = out[X.tree.parent[i]] + inc[i]
-    return AdaptedProcess(X.tree, out)
+    return AdaptedProcess(X.tree, X.tree.cumulate(X.increments() * Y.increments(), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# processes and payoffs spanned by per-node blocks
+# ---------------------------------------------------------------------------
+#
+# A block (node, first column, V) spans one-step increments over the node's
+# children: V has shape (children, rank), and coefficient first + k moves
+# the r-th child by V[r, k].
+
+
+def payoff_matrix(tree: EventTree, blocks, n_cols: int) -> np.ndarray:
+    """(n_leaves, n_cols) terminal values of the blocks' columns: column
+    first + k of a block pays V[r, k] on the leaves below its r-th child."""
+    M = np.zeros((tree.n_leaves, n_cols))
+    for node, col, V in blocks:
+        # breadth-first numbering: the leaves below a node are a contiguous
+        # run and its children have consecutive ids
+        t = tree.time[node]
+        lo, hi = np.searchsorted(tree.ancestors[:, t], [node, node + 1])
+        M[lo:hi, col:col + V.shape[1]] = V[tree.ancestors[lo:hi, t + 1] - tree.children[node][0]]
+    return M
+
+
+def process_from_coefficients(tree: EventTree, blocks, coeffs, start=0.0) -> np.ndarray:
+    """Node values of start plus the blocks' increments weighted by coeffs;
+    its leaf values are start + payoff_matrix(tree, blocks, len(coeffs)) @ coeffs."""
+    inc = np.zeros(tree.n_nodes)
+    for node, col, V in blocks:
+        inc[tree.children[node]] = V @ coeffs[col:col + V.shape[1]]
+    return tree.cumulate(inc, start)

@@ -28,6 +28,15 @@ def test_eps0_from_jump_bound(t1):
     assert t1.eps0 == pytest.approx(5.0, abs=0)
 
 
+def test_eps0_is_a_plain_float(t1):
+    assert type(t1.eps0) is float
+    user = MarketModel(t1.tree, t1.returns, t1.theta, eps0=np.float64(2.0))
+    assert type(user.eps0) is float
+    with pytest.raises(AdmissibilityError) as err:
+        numeraire(t1, 2.0 * t1.eps0)
+    assert "np.float64" not in str(err.value)
+
+
 def test_eps0_user_supplied_rules(t1):
     # smaller is fine, larger than the bound is rejected
     MarketModel(t1.tree, t1.returns, t1.theta, eps0=2.0)

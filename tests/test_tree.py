@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsens.errors import ContractViolationError
+from numsens.instances import two_asset_market
+from numsens.sensitivity import orthogonal_spans
+from numsens.solver import attainable_space
 from numsens.tree import (
     AdaptedProcess,
     EventTree,
     PredictableProcess,
+    process_from_coefficients,
     quadratic_covariation,
     stochastic_exponential,
     stochastic_integral,
@@ -47,12 +51,40 @@ def test_tree_renormalizes_tiny_drift():
     assert abs(t.prob[1:].sum() - 1.0) < 1e-15
 
 
+def test_tree_rejects_interleaved_siblings():
+    # parents-first and level by level, but node 5 is separated from its sibling 3
+    with pytest.raises(ContractViolationError, match="breadth-first"):
+        EventTree([-1, 0, 0, 1, 2, 1, 2], [1.0] + [0.5] * 6)
+
+
 def test_predictable_requires_sibling_equality():
     t = trinomial_tree()
     with pytest.raises(ContractViolationError):
         PredictableProcess(t, np.array([0.0, 1.0, 1.0, 2.0]))
     p = PredictableProcess.from_steps(t, np.array([5.0, 0.0, 0.0, 0.0]))
     assert np.all(p.values[1:] == 5.0)
+
+
+def test_sibling_check_names_first_offending_parent():
+    t = EventTree([-1, 0, 0, 1, 1, 2, 2], [1.0] + [0.5] * 6)
+    v = np.zeros((7, 2))
+    v[5, 1] = 1.0                      # siblings of node 2 differ
+    with pytest.raises(ContractViolationError, match=r"siblings of node 2$"):
+        PredictableProcess(t, v)
+    v[4, 0] = np.nan                   # now node 1 offends first
+    with pytest.raises(ContractViolationError, match=r"siblings of node 1$"):
+        PredictableProcess(t, v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([None, 1, 3]))
+def test_from_steps_step_value_round_trip(seed, dim):
+    tree = random_tree(seed)
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(tree.n_nodes,) if dim is None else (tree.n_nodes, dim))
+    p = PredictableProcess.from_steps(tree, steps)
+    for node in tree.internal_nodes:
+        assert np.array_equal(p.step_value(node), steps[node])
 
 
 def test_integral_zero_and_telescoping():
@@ -158,3 +190,112 @@ def test_conditional_expectation_and_defect():
     vals = t.conditional_expectation(w, z)
     assert abs(vals[0] - w @ z) < 1e-15
     assert t.martingale_defect(vals, w) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the two tree passes and the per-node block layout, against naive loops
+# ---------------------------------------------------------------------------
+
+
+def random_tree(seed, max_depth=4):
+    """Breadth-first tree with 1 to 3 children per node (single-child nodes
+    included) and random transition probabilities."""
+    rng = np.random.default_rng(seed)
+    parent, prob, level = [-1], [1.0], [0]
+    for _ in range(int(rng.integers(1, max_depth + 1))):
+        nxt = []
+        for node in level:
+            w = rng.uniform(0.1, 1.0, int(rng.integers(1, 4)))
+            for q in w / w.sum():
+                parent.append(node)
+                prob.append(float(q))
+                nxt.append(len(parent) - 1)
+        level = nxt
+    return EventTree(parent, prob)
+
+
+def naive_cumulate(tree, inc, start, op):
+    out = np.empty_like(inc)
+    out[0] = start
+    for i in range(1, tree.n_nodes):
+        out[i] = op(out[tree.parent[i]], inc[i])
+    return out
+
+
+def naive_aggregate(tree, values):
+    out = values.copy()
+    for i in range(tree.n_nodes - 1, 0, -1):
+        out[tree.parent[i]] += out[i]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([None, 1, 3]))
+def test_passes_match_naive_loops(seed, dim):
+    tree = random_tree(seed)
+    rng = np.random.default_rng(seed)
+    shape = (tree.n_nodes,) if dim is None else (tree.n_nodes, dim)
+    inc = rng.normal(size=shape)
+    start = rng.normal(size=shape[1:])
+    for op in (np.add, np.multiply):
+        assert np.array_equal(tree.cumulate(inc, start, op), naive_cumulate(tree, inc, start, op))
+    values = rng.normal(size=shape)
+    assert np.array_equal(tree.aggregate(values), naive_aggregate(tree, values))
+    leaf_only = np.zeros(tree.n_nodes)
+    leaf_only[tree.leaves] = tree.leaf_prob
+    assert np.array_equal(tree.node_mass(tree.leaf_prob), naive_aggregate(tree, leaf_only))
+
+
+def test_ancestors_and_levels():
+    tree = random_tree(11)
+    for j, leaf in enumerate(tree.leaves):
+        node = leaf
+        for t in range(tree.steps, -1, -1):
+            assert tree.ancestors[j, t] == node
+            node = tree.parent[node]
+    assert np.array_equal(np.concatenate(tree.levels), np.arange(tree.n_nodes))
+    for t, nodes in enumerate(tree.levels):
+        assert np.all(tree.time[nodes] == t)
+
+
+def naive_payoff_matrix(tree, blocks, n_cols):
+    rows = {int(c): (col, V[r]) for node, col, V in blocks
+            for r, c in enumerate(tree.children[node])}
+    M = np.zeros((tree.n_leaves, n_cols))
+    for j, node in enumerate(tree.leaves):
+        while node != 0:
+            if node in rows:
+                col, row = rows[node]
+                M[j, col:col + len(row)] = row
+            node = tree.parent[node]
+    return M
+
+
+def _check_blocks(tree, blocks, M, coeffs):
+    assert np.array_equal(M, naive_payoff_matrix(tree, blocks, M.shape[1]))
+    path = process_from_coefficients(tree, blocks, coeffs, 0.5)
+    assert np.max(np.abs(0.5 + M @ coeffs - path[tree.leaves])) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_payoff_matrix_matches_coefficient_process_attainable(seed):
+    rng = np.random.default_rng(seed)
+    for m in (make_random_tree(seed % 1000, depth=1 + seed % 3), two_asset_market(depth=2)):
+        space = attainable_space(m)
+        c = rng.normal(size=space.dim)
+        _check_blocks(m.tree, space.blocks, space.W, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_payoff_matrix_matches_coefficient_process_bases(seed, dim):
+    tree = random_tree(seed)
+    rng = np.random.default_rng(seed)
+    basis = orthogonal_spans(tree, rng.normal(size=(tree.n_nodes, dim)),
+                             rng.uniform(0.5, 1.5) * tree.leaf_prob)
+    for side, M in (("primal", basis.Phi), ("dual", basis.Psi)):
+        c = rng.normal(size=M.shape[1])
+        _check_blocks(tree, basis.blocks(side), M, c)
+        assert np.array_equal(basis.expand_process(side, c),
+                              process_from_coefficients(tree, basis.blocks(side), c))
