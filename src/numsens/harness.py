@@ -32,8 +32,16 @@ from .market import (
 )
 from .preferences import Utility, log_utility, power_utility
 from .risktol import gkw_decompose, hessian_from_gkw, recovery_residual, risk_tolerance
-from .sensitivity import aux_relation_report, expansion_report
-from .solver import solve_pair, solve_primal, verify_deflator
+from .sensitivity import ExpansionReport, aux_relation_report, expansion_report
+from .solver import (
+    AttainableSpace,
+    Optimum,
+    attainable_space,
+    solve_dual,
+    solve_pair,
+    solve_primal,
+    verify_deflator,
+)
 from .strategy import (
     build_strategy_kit,
     characteristics,
@@ -223,15 +231,20 @@ def run_campaign(c: Campaign) -> Report:
     return rep
 
 
-def run_expansion_campaign(c: Campaign) -> Report:
+def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
+                           optimum: Optimum = None,
+                           expansion: ExpansionReport = None) -> Report:
     """Quadratic-expansion verification of both value functions against
-    exact re-solves, plus the first-order (envelope) finite-difference check."""
+    exact re-solves, plus the first-order (envelope) finite-difference check.
+    The base space, optimum and expansion are computed when not supplied."""
     m, u, x = c.model, c.utility, c.x
     rep = Report(title="expansion-campaign",
                  metadata={"model": model_digest(m, u), "x": x,
                            "grid_points": len(c.dx_grid)})
-    opt = solve_pair(m, u, x, 0.0)
-    ex = expansion_report(m, u, x, optimum=opt)
+    if space is None:
+        space = attainable_space(m)
+    opt = optimum if optimum is not None else solve_pair(m, u, x, 0.0, space=space)
+    ex = expansion if expansion is not None else expansion_report(m, u, x, optimum=opt)
     y = opt.y
     u0, v0 = opt.primal.value, opt.dual.value
 
@@ -240,7 +253,8 @@ def run_expansion_campaign(c: Campaign) -> Report:
     errs = []
     base = min(1e-2, 0.25 * m.eps0)
     for h in (base, base / 10.0, base / 100.0):
-        fd = (solve_primal(m, u, x, h).value - solve_primal(m, u, x, -h).value) / (2 * h)
+        fd = (solve_primal(m, u, x, h, space=space).value
+              - solve_primal(m, u, x, -h, space=space).value) / (2 * h)
         errs.append(abs(fd - target))
     ok = errs[2] <= 1e-7 and all(
         errs[i] / max(errs[i + 1], 1e-16) >= 50.0 or errs[i + 1] <= 1e-12
@@ -251,7 +265,7 @@ def run_expansion_campaign(c: Campaign) -> Report:
     def u_point(pt):
         dx, e = pt
         try:
-            exact = solve_primal(m, u, x + dx, e).value
+            exact = solve_primal(m, u, x + dx, e, space=space).value
         except AdmissibilityError as err:
             return None, str(err)
         return exact, ""
@@ -277,9 +291,18 @@ def run_expansion_campaign(c: Campaign) -> Report:
     def v_point(pt):
         dy, e = pt
         yt = y + dy
+        # the bracketing, brentq and the dual at the root revisit the same
+        # wealths: solve each one once
+        solved = {}
+
+        def primal_at(xx):
+            if xx not in solved:
+                solved[xx] = solve_primal(m, u, xx, e, space=space)
+            return solved[xx]
+
         try:
             def marg(xx):
-                return solve_primal(m, u, xx, e).marginal - yt
+                return primal_at(xx).marginal - yt
             lo = hi = x
             for _ in range(200):
                 if marg(lo) >= 0.0:
@@ -290,8 +313,7 @@ def run_expansion_campaign(c: Campaign) -> Report:
                     break
                 hi *= 2.0
             xs = x if lo == hi else brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            pair = solve_pair(m, u, xs, e)
-            return pair.dual.value, ""
+            return solve_dual(m, u, xs, e, primal=primal_at(xs)).value, ""
         except AdmissibilityError as err:
             return None, str(err)
 
@@ -325,14 +347,19 @@ def run_expansion_campaign(c: Campaign) -> Report:
     return rep
 
 
-def run_strategy_campaign(c: Campaign) -> Report:
+def run_strategy_campaign(c: Campaign, *, space: AttainableSpace = None,
+                          optimum: Optimum = None,
+                          expansion: ExpansionReport = None) -> Report:
     """Second-order value matching of the constructed wealth processes with
-    automatic level selection, plus proportion round-trip and admissibility."""
+    automatic level selection, plus proportion round-trip and admissibility.
+    The base space, optimum and expansion are computed when not supplied."""
     m, u, x = c.model, c.utility, c.x
     rep = Report(title="strategy-campaign",
                  metadata={"model": model_digest(m, u), "x": x,
                            "grid_points": len(c.dx_grid)})
-    kit = build_strategy_kit(m, u, x)
+    if space is None:
+        space = attainable_space(m)
+    kit = build_strategy_kit(m, u, x, optimum=optimum, expansion=expansion, space=space)
 
     residuals, levels = [], []
     for dx, e in zip(c.dx_grid, c.eps_grid):
@@ -375,10 +402,13 @@ def run_strategy_campaign(c: Campaign) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def solve_report(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -> Report:
+def solve_report(m: MarketModel, utility: Utility, x: float, eps: float = 0.0, *,
+                 optimum: Optimum = None) -> Report:
+    """Checks of the pair solved at (x, eps), or of the supplied optimum
+    solved there."""
     rep = Report(title="solve",
                  metadata={"model": model_digest(m, utility), "x": x, "eps": eps})
-    pair = solve_pair(m, utility, x, eps)
+    pair = optimum if optimum is not None else solve_pair(m, utility, x, eps)
     rep.add("primal-value", "expected-utility-optimum", pair.primal.value, math.nan,
             0.0, True)
     rep.add("marginal-value", "envelope-marginal", pair.primal.marginal, math.nan, 0.0, True)
@@ -399,18 +429,27 @@ def solve_report(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -
 
 
 def risk_tolerance_report(m: MarketModel, utility: Utility, x: float,
-                          tol: float = 1e-8) -> Report:
+                          tol: float = 1e-8, *, space: AttainableSpace = None,
+                          optimum: Optimum = None,
+                          expansion: ExpansionReport = None) -> Report:
+    """Orthogonal-decomposition cross-check of the mixed second-order
+    coefficients.  The base space, optimum and expansion are computed when
+    not supplied."""
     rep = Report(title="risk-tolerance",
                  metadata={"model": model_digest(m, utility), "x": x})
-    opt = solve_pair(m, utility, x, 0.0)
-    rt = risk_tolerance(m, utility, x, optimum=opt)
+    if space is None:
+        space = attainable_space(m)
+    opt = optimum if optimum is not None else solve_pair(m, utility, x, 0.0, space=space)
+    rt = risk_tolerance(m, utility, x, optimum=opt, space=space)
+    # W is not needed past here; do not hold it alongside Phi and Psi
+    del space
     rep.add("replicable", "risk-tolerance-replication", 1.0 if rt.exists else 0.0,
             math.nan, rt.certificate, True,
             f"certificate {_fmt(rt.certificate)}")
     if not rt.exists:
         return rep
     rep.add("initial-capital", "risk-tolerance-replication", rt.initial, math.nan, 0.0, True)
-    ex = expansion_report(m, utility, x, optimum=opt)
+    ex = expansion if expansion is not None else expansion_report(m, utility, x, optimum=opt)
     dec = gkw_decompose(m, utility, x, rt, optimum=opt)
     terms = hessian_from_gkw(dec, m, utility, x, rt, opt, ex.a_xx)
     for name, got, want in (("a-ee", terms.a_ee, ex.a_ee), ("b-ee", terms.b_ee, ex.b_ee),
@@ -555,9 +594,15 @@ def verify_all(m: MarketModel, utility: Utility, x: float, *,
     utility = utility if utility is not None else log_utility()
     rep = Report(title="verify-all", metadata={"model": model_digest(m, utility), "x": x})
     rep.extend(calculus_report(m))
-    rep.extend(solve_report(m, utility, x, 0.0))
+    # the base results every sub-report needs, computed once: the space
+    # depends only on (tree, returns), so every re-solve shares it
+    space = attainable_space(m)
+    opt = solve_pair(m, utility, x, 0.0, space=space)
+    rep.extend(solve_report(m, utility, x, 0.0, optimum=opt))
     camp = dyadic_campaign(m, utility, x, k_range=k_range, n_budget=n_budget)
-    rep.extend(run_expansion_campaign(camp))
-    rep.extend(run_strategy_campaign(camp))
-    rep.extend(risk_tolerance_report(m, utility, x))
+    base = {"space": space, "optimum": opt,
+            "expansion": expansion_report(m, utility, x, optimum=opt)}
+    rep.extend(run_expansion_campaign(camp, **base))
+    rep.extend(run_strategy_campaign(camp, **base))
+    rep.extend(risk_tolerance_report(m, utility, x, **base))
     return rep

@@ -320,7 +320,12 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
                  *, space: AttainableSpace = None, numeraire_process: AdaptedProcess = None,
                  tol: float = 1e-13, max_iter: int = 200) -> PrimalSolution:
     """Exact maximizer of expected terminal utility at initial wealth x in
-    the eps-perturbed market."""
+    the eps-perturbed market.
+
+    `space` is the attainable space of `m`.  It depends only on the tree and
+    the base returns, not on x, eps or the utility, so one
+    `attainable_space(m)` may be reused for every solve on `m`; it is built
+    when not supplied."""
     if x <= 0.0:
         raise ContractViolationError("initial wealth must be positive")
     tree = m.tree

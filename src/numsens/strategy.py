@@ -23,7 +23,7 @@ from .errors import AdmissibilityError, ContractViolationError, NumericalError, 
 from .market import MarketModel
 from .preferences import Utility
 from .sensitivity import ExpansionReport, expansion_report
-from .solver import Optimum, solve_pair, solve_primal
+from .solver import AttainableSpace, Optimum, solve_pair, solve_primal
 from .tree import AdaptedProcess, PredictableProcess, stochastic_exponential, stochastic_integral
 
 _REPR_TOL = 1e-10
@@ -241,6 +241,7 @@ class StrategyKit:
     x: float
     optimum: Optimum
     expansion: ExpansionReport
+    space: AttainableSpace = field(default=None, repr=False)   # shared by the exact re-solves
     _level_cache: dict = field(default_factory=dict, repr=False)
     _solve_cache: dict = field(default_factory=dict, repr=False)
 
@@ -316,7 +317,7 @@ class StrategyKit:
     def exact_value(self, dx: float, eps: float) -> float:
         key = (round(dx, 18), round(eps, 18))
         if key not in self._solve_cache:
-            sol = solve_primal(self.model, self.utility, self.x + dx, eps)
+            sol = solve_primal(self.model, self.utility, self.x + dx, eps, space=self.space)
             self._solve_cache[key] = sol.value
         return self._solve_cache[key]
 
@@ -387,13 +388,14 @@ class StrategyKit:
 
 def build_strategy_kit(m: MarketModel, utility: Utility, x: float, *,
                        optimum: Optimum = None,
-                       expansion: ExpansionReport = None) -> StrategyKit:
+                       expansion: ExpansionReport = None,
+                       space: AttainableSpace = None) -> StrategyKit:
     if optimum is None:
-        optimum = solve_pair(m, utility, x, 0.0)
+        optimum = solve_pair(m, utility, x, 0.0, space=space)
     if expansion is None:
         expansion = expansion_report(m, utility, x, optimum=optimum)
     return StrategyKit(model=m, utility=utility, x=float(x),
-                       optimum=optimum, expansion=expansion)
+                       optimum=optimum, expansion=expansion, space=space)
 
 
 # -- module-level convenience wrappers --------------------------------------

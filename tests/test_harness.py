@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from numsens import harness, risktol, sensitivity, solver, strategy
 from numsens.cli import main
 from numsens.harness import (
     Campaign,
+    calculus_report,
     run_campaign,
     Report,
     dyadic_campaign,
@@ -116,6 +118,69 @@ def test_emit_empty_report(tmp_path):
 def test_verify_all_small(t1, logu):
     rep = verify_all(t1, logu, 1.0, k_range=range(3, 6))
     assert rep.all_passed, [c.name for c in rep.checks if not c.passed]
+
+
+# ---------------------------------------------------------------------------
+# hand-down of the base results
+# ---------------------------------------------------------------------------
+
+_MODULES = (harness, solver, sensitivity, strategy, risktol)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the (args, kwargs) of every call of the library function
+    `name`, wherever a module looks it up."""
+    calls = []
+    original = getattr(solver, name, None) or getattr(sensitivity, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for mod in _MODULES:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def _solve_points(calls):
+    """(x, eps) of each recorded solve_primal call."""
+    return [(float(a[2]), float(a[3] if len(a) > 3 else kw.get("eps", 0.0)))
+            for a, kw in calls]
+
+
+def test_expansion_campaign_builds_one_space_and_solves_each_point_once(
+        monkeypatch, twop, logu):
+    spaces = _count_calls(monkeypatch, "attainable_space")
+    solves = _count_calls(monkeypatch, "solve_primal")
+    run_expansion_campaign(dyadic_campaign(twop, logu, 1.0, k_range=range(3, 6)))
+    assert len(spaces) == 1
+    points = _solve_points(solves)
+    assert len(points) == len(set(points))
+    assert all(kw["space"] is not None for _, kw in solves)
+
+
+def test_verify_all_solves_the_base_pair_and_expansion_once(monkeypatch, t1, mix):
+    spaces = _count_calls(monkeypatch, "attainable_space")
+    solves = _count_calls(monkeypatch, "solve_primal")
+    expansions = _count_calls(monkeypatch, "expansion_report")
+    verify_all(t1, mix, 1.0, k_range=range(3, 6))
+    assert len(spaces) == 1
+    assert _solve_points(solves).count((1.0, 0.0)) == 1
+    assert len(expansions) == 1
+
+
+@pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir"])
+def test_verify_all_equals_its_sub_reports_standalone(request, market, halfpow):
+    m = request.getfixturevalue(market)
+    k_range = range(3, 6)
+    got = verify_all(m, halfpow, 1.0, k_range=k_range).to_csv()
+    camp = dyadic_campaign(m, halfpow, 1.0, k_range=k_range)
+    subs = [calculus_report(m), solve_report(m, halfpow, 1.0, 0.0),
+            run_expansion_campaign(camp), run_strategy_campaign(camp),
+            risk_tolerance_report(m, halfpow, 1.0)]
+    header, _ = got.split("\n", 1)
+    assert got == header + "\n" + "".join(s.to_csv().split("\n", 1)[1] for s in subs)
 
 
 # ---------------------------------------------------------------------------

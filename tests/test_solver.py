@@ -232,3 +232,19 @@ def test_random_tree_duality_properties(seed):
     assert np.max(np.abs(pair.dual.terminal - u.du(pair.primal.terminal))) <= 1e-10
     assert verify_deflator(m, eps, pair.dual.deflator).max_violation <= 1e-10
     assert np.all(pair.primal.wealth.values > 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.floats(-0.49, 0.49), st.floats(0.5, 2.0))
+def test_space_is_independent_of_the_perturbation(seed, frac, x):
+    # one space serves solves at every x and eps: the results are bit-identical
+    # to those of solves that build their own
+    from conftest import make_random_tree
+    m = make_random_tree(seed, depth=1 + seed % 3)
+    u = [log_utility(), power_utility(0.5), power_utility(-2.0)][seed % 3]
+    space = attainable_space(m)
+    for eps in (frac * min(m.eps0, 2.0), 0.0):
+        shared = solve_primal(m, u, x, eps, space=space)
+        own = solve_primal(m, u, x, eps)
+        assert shared.value == own.value and shared.marginal == own.marginal
+        assert np.array_equal(shared.wealth.values, own.wealth.values)
