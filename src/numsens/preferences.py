@@ -62,7 +62,10 @@ class Utility:
         return sum(w * (p - 1.0) * x ** (p - 2.0) for w, p in self.components)
 
     def rra(self, x):
-        """Relative risk aversion -U''(x)x/U'(x)."""
+        """Relative risk aversion -U''(x)x/U'(x); exactly 1 - p for a single
+        log (p = 0) or power term, where the quotient would miss it by an ulp."""
+        if len(self.components) == 1:
+            return self._constant(x, "x", 1.0 - self.components[0][1])
         return -self.d2u(x) * np.asarray(x, dtype=float) / self.du(x)
 
     def evaluate(self, x):
@@ -91,7 +94,10 @@ class Utility:
         return -1.0 / self.d2u(i)
 
     def rrt(self, y):
-        """Relative risk tolerance -V''(y)y/V'(y) = 1/A at conjugate points."""
+        """Relative risk tolerance -V''(y)y/V'(y) = 1/A at conjugate points;
+        exactly 1/(1 - p) for a single log or power term."""
+        if len(self.components) == 1:
+            return self._constant(y, "y", 1.0 / (1.0 - self.components[0][1]))
         return -self.d2v(y) * np.asarray(y, dtype=float) / self.dv(y)
 
     def conjugate(self, y):
@@ -105,6 +111,11 @@ class Utility:
         if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
             raise ContractViolationError(f"{name} must be strictly positive and finite")
         return z if z.ndim else float(z)
+
+    def _constant(self, z, name, value):
+        """`value` in the shape of the validated argument z."""
+        z = np.asarray(self._pos(z, name))
+        return np.full(z.shape, value) if z.ndim else np.float64(value)
 
     def _invert_mixture(self, y):
         scalar = y.ndim == 0

@@ -100,3 +100,23 @@ def test_serialization_roundtrip():
     for u in UTILITIES:
         v = Utility.from_obj(u.to_obj())
         assert v.to_obj() == u.to_obj()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=20),
+       st.sampled_from([0.0, 0.5, 0.3, -1.0, -2.0]))
+def test_single_term_risk_aversion_is_exact(xs, p):
+    u = log_utility() if p == 0.0 else power_utility(p)
+    z = np.asarray(xs)
+    assert np.array_equal(u.rra(z), np.full(z.shape, 1.0 - p))
+    assert np.array_equal(u.rrt(z), np.full(z.shape, 1.0 / (1.0 - p)))
+    assert u.rra(xs[0]) == 1.0 - p and np.ndim(u.rra(xs[0])) == 0
+    assert u.rrt(z.reshape(1, -1)).shape == (1, z.size)
+
+
+def test_single_term_risk_aversion_validates_its_argument():
+    for bad in (0.0, -1.0, np.inf, [1.0, np.nan]):
+        with pytest.raises(ContractViolationError):
+            log_utility().rra(bad)
+        with pytest.raises(ContractViolationError):
+            power_utility(0.5).rrt(bad)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numsens.errors import ContractViolationError
 from numsens.risktol import (
@@ -98,3 +100,15 @@ def test_gkw_two_period_power(twop, halfpow):
                       (terms.a_xe, ex.a_xe), (terms.b_ye, ex.b_ye)):
         assert got == pytest.approx(want, abs=1e-8)
     assert recovery_residual(dec, ex, rt) <= 1e-8
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_log_decomposition_is_degenerate_on_random_trees(seed):
+    # for log utility x·F·(A - 1) vanishes identically, so P0 is exactly 0
+    from conftest import make_random_tree
+    from numsens.harness import risk_tolerance_report
+    from numsens.preferences import log_utility
+    m = make_random_tree(seed, depth=1 + seed % 3)
+    checks = {c.name: c for c in risk_tolerance_report(m, log_utility(), 1.0).checks}
+    assert checks["gkw-log-degenerate"].passed, checks["gkw-log-degenerate"]
