@@ -222,12 +222,17 @@ def _decay_check(report, name, anchor, residuals, radii, factor, floor, note="")
 
 
 def run_campaign(c: Campaign) -> Report:
-    """Dispatch the campaign's selected checks into one report."""
+    """Dispatch the campaign's selected checks into one report; the base
+    space, optimum and expansion are computed once and shared."""
     rep = Report(title="campaign")
+    m, u, x = c.model, c.utility, c.x
+    space = attainable_space(m)
+    opt = solve_pair(m, u, x, 0.0, space=space)
+    base = {"space": space, "optimum": opt, "expansion": expansion_report(m, u, x, optimum=opt)}
     if "expansion" in c.checks:
-        rep.extend(run_expansion_campaign(c))
+        rep.extend(run_expansion_campaign(c, **base))
     if "strategy" in c.checks:
-        rep.extend(run_strategy_campaign(c))
+        rep.extend(run_strategy_campaign(c, **base))
     return rep
 
 
@@ -441,8 +446,6 @@ def risk_tolerance_report(m: MarketModel, utility: Utility, x: float,
         space = attainable_space(m)
     opt = optimum if optimum is not None else solve_pair(m, utility, x, 0.0, space=space)
     rt = risk_tolerance(m, utility, x, optimum=opt, space=space)
-    # W is not needed past here; do not hold it alongside Phi and Psi
-    del space
     rep.add("replicable", "risk-tolerance-replication", 1.0 if rt.exists else 0.0,
             math.nan, rt.certificate, True,
             f"certificate {_fmt(rt.certificate)}")

@@ -5,7 +5,9 @@ Everything here lives under the pricing measure with leaf density
 is spanned, node by node, by the one-step increments of the prices
 discounted by the optimal wealth; its product-orthogonal complement is the
 per-node orthocomplement inside the zero-conditional-mean space.  The six
-auxiliary quadratic problems are weighted least squares over those spans;
+auxiliary quadratic problems are weighted least squares over those spans,
+solved by the tree-elimination kernel on the plans each `MartingaleBasis`
+builds once (`Phi` and `Psi` are views built on access, read by no solve);
 gradients and Hessians of the value functions are assembled from their
 values; the optimizer terminal derivatives come from the auxiliary
 optimizers.
@@ -21,7 +23,7 @@ from .errors import ContractViolationError
 from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .solver import Optimum, solve_pair
-from .tree import EventTree, payoff_matrix, process_from_coefficients
+from .tree import BlockPlan, EventTree, payoff_matrix, process_from_coefficients
 
 _ORTH_TOL = 1e-12
 
@@ -40,25 +42,39 @@ class NodeVectors:
 @dataclass(frozen=True)
 class MartingaleBasis:
     """Per-node spans of the hedgeable space and its complement under the
-    pricing measure, with terminal-payoff matrices for least squares."""
+    pricing measure, each with the plan the elimination kernel runs on."""
 
     tree: EventTree
     weights: np.ndarray = field(repr=False)          # pricing-measure leaf weights
     child_weights: dict = field(repr=False)          # node -> conditional child probs
     primal_nodes: list = field(repr=False)           # list[NodeVectors]
     dual_nodes: list = field(repr=False)
-    Phi: np.ndarray = field(repr=False)              # (n_leaves, dim primal)
-    Psi: np.ndarray = field(repr=False)              # (n_leaves, dim dual)
     primal_slices: dict = field(repr=False)
     dual_slices: dict = field(repr=False)
+    primal_plan: BlockPlan = field(init=False, repr=False, compare=False)
+    dual_plan: BlockPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "primal_plan", BlockPlan(self.tree, self.blocks("primal")))
+        object.__setattr__(self, "dual_plan", BlockPlan(self.tree, self.blocks("dual")))
 
     @property
     def primal_dim(self):
-        return self.Phi.shape[1]
+        return self.primal_plan.n_cols
 
     @property
     def dual_dim(self):
-        return self.Psi.shape[1]
+        return self.dual_plan.n_cols
+
+    @property
+    def Phi(self) -> np.ndarray:
+        """(n_leaves, primal_dim) payoff matrix, built on each access."""
+        return payoff_matrix(self.tree, self.blocks("primal"), self.primal_dim)
+
+    @property
+    def Psi(self) -> np.ndarray:
+        """(n_leaves, dual_dim) payoff matrix, built on each access."""
+        return payoff_matrix(self.tree, self.blocks("dual"), self.dual_dim)
 
     def blocks(self, side: str) -> list:
         """(node, first column, vectors) of one side's spans."""
@@ -80,47 +96,47 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
     `Sdisc` and their orthocomplement inside the zero-conditional-mean space,
     all under the leaf measure `r`."""
     mass = tree.node_mass(r)
-    child_w = {}
+    child_w, primal_at, dual_at = {}, {}, {}
+    for k, (nodes, ch) in tree.branch_groups.items():
+        w = mass[ch] / mass[nodes, None]
+        inc = Sdisc[ch] - Sdisc[nodes, None]
+        # compensate any residual conditional mean, then orthonormalize in
+        # the conditional inner product
+        inc = inc - (w[:, None, :] @ inc)
+        sw = np.sqrt(w)
+        u_, s, _ = np.linalg.svd(inc * sw[:, :, None], full_matrices=False)
+        ranks = np.sum(s > _ORTH_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
+        for rank in np.unique(ranks).tolist():
+            sel = ranks == rank
+            at, u_r, sw_r = nodes[sel].tolist(), u_[sel, :, :rank], sw[sel]
+            # complement of span{sqrt(w) P-cols} within {v: sw·v = 0}
+            u2, _, _ = np.linalg.svd(np.concatenate([sw_r[:, :, None], u_r], axis=2),
+                                     full_matrices=True)
+            P = u_r / sw_r[:, :, None]
+            Dv = u2[:, :, rank + 1:] / sw_r[:, :, None]
+            if rank + Dv.shape[2] != k - 1:
+                raise ContractViolationError(
+                    f"span dimensions at node {at[0]} do not fill the one-step space"
+                )
+            primal_at.update(zip(at, P))
+            dual_at.update(zip(at, Dv))
+        child_w.update(zip(nodes.tolist(), w))
+
     primal_nodes, dual_nodes = [], []
     primal_slices, dual_slices = {}, {}
     pcol = dcol = 0
-    for node in tree.internal_nodes:
-        ch = tree.children[node]
-        w = mass[ch] / mass[node]
-        child_w[int(node)] = w
-        inc = Sdisc[ch] - Sdisc[node]
-        # compensate any residual conditional mean, then orthonormalize in
-        # the conditional inner product
-        inc = inc - w @ inc
-        sw = np.sqrt(w)
-        A = inc * sw[:, None]
-        u_, s, _ = np.linalg.svd(A, full_matrices=False)
-        rank = int(np.sum(s > _ORTH_TOL * max(s[0] if s.size else 0.0, 1e-300)))
-        P = u_[:, :rank] / sw[:, None]
-        if rank:
-            primal_nodes.append(NodeVectors(int(node), P))
-            primal_slices[int(node)] = slice(pcol, pcol + rank)
-            pcol += rank
-        # complement of span{sqrt(w) P-cols} within {v: sw·v = 0}
-        k = len(ch)
-        Qfull = np.column_stack([sw, u_[:, :rank]])
-        u2, s2, _ = np.linalg.svd(Qfull, full_matrices=True)
-        comp = u2[:, rank + 1:]
-        if comp.shape[1]:
-            Dv = comp / sw[:, None]
-            dual_nodes.append(NodeVectors(int(node), Dv))
-            dual_slices[int(node)] = slice(dcol, dcol + comp.shape[1])
-            dcol += comp.shape[1]
-        if rank + comp.shape[1] != k - 1:
-            raise ContractViolationError(
-                f"span dimensions at node {node} do not fill the one-step space"
-            )
-
-    Phi = payoff_matrix(tree, _blocks(primal_nodes, primal_slices), pcol)
-    Psi = payoff_matrix(tree, _blocks(dual_nodes, dual_slices), dcol)
-    return MartingaleBasis(tree=tree, weights=r, child_weights=child_w,
+    for node in tree.internal_nodes.tolist():
+        P, Dv = primal_at[node], dual_at[node]
+        if P.shape[1]:
+            primal_nodes.append(NodeVectors(node, P))
+            primal_slices[node] = slice(pcol, pcol + P.shape[1])
+            pcol += P.shape[1]
+        if Dv.shape[1]:
+            dual_nodes.append(NodeVectors(node, Dv))
+            dual_slices[node] = slice(dcol, dcol + Dv.shape[1])
+            dcol += Dv.shape[1]
+    return MartingaleBasis(tree=tree, weights=r, child_weights=dict(sorted(child_w.items())),
                            primal_nodes=primal_nodes, dual_nodes=dual_nodes,
-                           Phi=Phi, Psi=Psi,
                            primal_slices=primal_slices, dual_slices=dual_slices)
 
 
@@ -151,34 +167,25 @@ class AuxSolution:
     rank_deficient: bool = False
 
 
-def _weighted_lsq(design, rhs, weights):
-    """Minimize sum(weights * (design@beta - rhs)^2); minimum-norm on rank
-    deficiency."""
-    sw = np.sqrt(weights)
-    A = design * sw[:, None]
-    b = rhs * sw
-    beta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    return beta, rank < design.shape[1]
-
-
 def solve_aux_primal(basis: MartingaleBasis, x: float, F, G, A_leaf):
     """The two quadratic problems over the hedgeable span and the mixed
     second-order coefficient evaluated at their optimizers."""
     r = basis.weights
-    Phi = basis.Phi
+    plan = basis.primal_plan
+    leaves = basis.tree.leaves
     A_leaf = np.asarray(A_leaf, dtype=float)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     w = r * A_leaf
 
-    b0, d0 = _weighted_lsq(Phi, -np.ones_like(F), w)
-    M0 = Phi @ b0
+    m0, b0, d0 = plan.solve(w, -np.ones_like(F), 0.0)
+    M0 = m0[leaves]
     a_xx = float(w @ (1.0 + M0) ** 2)
 
     # stationarity of E[A(M+xF)^2 - 2xF M]: Phi' (rA) Phi b = x Phi' r (1-A) F
     rhs = x * (r * (1.0 - A_leaf) * F)
-    beta1, d1 = _weighted_lsq(Phi, rhs / np.maximum(w, 1e-300), w)
-    M1 = Phi @ beta1
+    m1, beta1, d1 = plan.solve(w, rhs / np.maximum(w, 1e-300), 0.0)
+    M1 = m1[leaves]
     a_ee = float(w @ (M1 + x * F) ** 2 - 2.0 * x * (r * F) @ M1
                  - x * x * r @ (F * F + G))
 
@@ -190,20 +197,21 @@ def solve_aux_primal(basis: MartingaleBasis, x: float, F, G, A_leaf):
 def solve_aux_dual(basis: MartingaleBasis, y: float, F, G, B_leaf):
     """Mirror problems over the complement span with risk-tolerance weights."""
     r = basis.weights
-    Psi = basis.Psi
+    plan = basis.dual_plan
+    leaves = basis.tree.leaves
     B_leaf = np.asarray(B_leaf, dtype=float)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     w = r * B_leaf
 
-    b0, d0 = _weighted_lsq(Psi, -np.ones_like(F), w)
-    N0 = Psi @ b0
+    n0, b0, d0 = plan.solve(w, -np.ones_like(F), 0.0)
+    N0 = n0[leaves]
     b_yy = float(w @ (1.0 + N0) ** 2)
 
     # stationarity of E[B(N-yF)^2 + 2yF N]: Psi' (rB) Psi b = y Psi' r (B-1) F
     rhs = y * (r * (B_leaf - 1.0) * F)
-    beta1, d1 = _weighted_lsq(Psi, rhs / np.maximum(w, 1e-300), w)
-    N1 = Psi @ beta1
+    n1, beta1, d1 = plan.solve(w, rhs / np.maximum(w, 1e-300), 0.0)
+    N1 = n1[leaves]
     b_ee = float(w @ (N1 - y * F) ** 2 + 2.0 * y * (r * F) @ N1
                  - y * y * r @ (F * F - G))
 

@@ -5,9 +5,14 @@ perturbed unit of account, so every solve reduces to maximizing
 E[U((x + terminal-trading-payoff)/N_T)] over the linear space of trading
 payoffs.  That space is parametrized by one coefficient per (node,
 independent one-step direction), in which the objective is smooth and
-strictly concave: damped Newton converges to machine precision.  Complete
-trees (every one-step market spans its child space) instead use the unique
-one-step pricing weights and a one-dimensional budget root-find.
+strictly concave: damped Newton converges to machine precision.  Each Newton
+step is the weighted least-squares fit that the tree-elimination kernel
+(`tree.BlockPlan`, built once per attainable space) solves in time linear in
+the node count, and the gradient behind the first-order residual comes from
+subtree totals; the payoff matrix `AttainableSpace.W` is a view built on
+access that no solve reads.  Complete trees (every one-step market spans its
+child space) instead use the unique one-step pricing weights and a
+one-dimensional budget root-find.
 
 The dual optimizer is built from the primal one: its terminal value is the
 marginal utility of the optimal wealth, and the product with the optimal
@@ -36,6 +41,7 @@ from .market import MarketModel, numeraire, perturbed_prices
 from .preferences import Utility
 from .tree import (
     AdaptedProcess,
+    BlockPlan,
     EventTree,
     PredictableProcess,
     payoff_matrix,
@@ -65,25 +71,30 @@ class AttainableSpace:
 
     tree: EventTree
     spans: dict = field(repr=False)        # node -> NodeSpan
-    W: np.ndarray = field(repr=False)      # (n_leaves, total_rank) payoff matrix
     complete: bool
     blocks: list = field(repr=False)       # (node, first column, directions), rank > 0
-    col_reach: np.ndarray = field(repr=False, default=None)  # reach prob per column
+    plan: BlockPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", BlockPlan(self.tree, self.blocks))
 
     @property
     def dim(self) -> int:
-        return self.W.shape[1]
+        return self.plan.n_cols
+
+    @property
+    def W(self) -> np.ndarray:
+        """(n_leaves, dim) payoff matrix, built on each access; no solve reads it."""
+        return payoff_matrix(self.tree, self.blocks, self.dim)
 
 
 def _one_step_arbitrage(D: np.ndarray) -> bool:
-    """True iff some stock portfolio has nonnegative, nonzero one-step payoff."""
+    """True iff some portfolio of d >= 2 stocks has nonnegative, nonzero
+    one-step payoff."""
     k, d = D.shape
     scale = np.max(np.abs(D))
     if scale == 0.0:
         return False
-    if d == 1:
-        v = D[:, 0]
-        return not (v.max() > 0.0 and v.min() < 0.0)
     # no arbitrage iff a strictly positive pricing vector q exists: max the
     # floor of q subject to D'q = 0, sum q = 1
     A_eq = np.zeros((d + 1, k + 1))
@@ -106,34 +117,38 @@ def _one_step_arbitrage(D: np.ndarray) -> bool:
 def attainable_space(m: MarketModel) -> AttainableSpace:
     tree = m.tree
     dR = m.returns.increments()
-    spans, blocks = {}, []
-    col = 0
-    complete = True
-    for node in tree.internal_nodes:
-        ch = tree.children[node]
-        D = dR[ch][:, 1:]
-        if _one_step_arbitrage(D):
-            raise NoOptimizerError(
-                f"one-step arbitrage at node {node}: no optimizer exists (NUPBR fails)"
-            )
-        u_, s, _ = np.linalg.svd(D, full_matrices=False)
-        rank = int(np.sum(s > _RANK_TOL * max(s[0] if s.size else 0.0, 1e-300)))
-        node = int(node)
-        sp = spans[node] = NodeSpan(
-            node=node,
-            directions=u_[:, :rank].copy(),
-            rank=rank,
-            redundant=rank < min(D.shape),
+    if m.d == 1:
+        # a single stock has an arbitrage exactly where its moves do not
+        # take both signs (and are not all zero)
+        arb = np.zeros(tree.n_nodes, dtype=bool)
+        for nodes, ch in tree.branch_groups.values():
+            v = dR[ch, 1]
+            arb[nodes] = (np.max(np.abs(v), axis=1) > 0.0) & ~(
+                (v.max(axis=1) > 0.0) & (v.min(axis=1) < 0.0))
+        first = next(iter(np.flatnonzero(arb)), None)
+    else:
+        first = next((node for node in tree.internal_nodes
+                      if _one_step_arbitrage(dR[tree.children[node]][:, 1:])), None)
+    if first is not None:
+        raise NoOptimizerError(
+            f"one-step arbitrage at node {first}: no optimizer exists (NUPBR fails)"
         )
-        if rank:
+    spans = {}
+    for nodes, ch in tree.branch_groups.values():
+        D = dR[ch][:, :, 1:]
+        u_, s, _ = np.linalg.svd(D, full_matrices=False)
+        ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
+        for node, u_node, rank in zip(nodes.tolist(), u_, ranks.tolist()):
+            spans[node] = NodeSpan(node=node, directions=u_node[:, :rank].copy(),
+                                   rank=rank, redundant=rank < min(D.shape[1:]))
+    spans = dict(sorted(spans.items()))
+    blocks, col = [], 0
+    for node, sp in spans.items():
+        if sp.rank:
             blocks.append((node, col, sp.directions))
-        col += rank
-        if rank != len(ch) - 1:
-            complete = False
-
-    reach = np.repeat(tree.path_prob[tree.internal_nodes], [sp.rank for sp in spans.values()])
-    return AttainableSpace(tree=tree, spans=spans, W=payoff_matrix(tree, blocks, col),
-                           complete=complete, blocks=blocks, col_reach=reach)
+        col += sp.rank
+    complete = all(sp.rank == len(tree.children[node]) - 1 for node, sp in spans.items())
+    return AttainableSpace(tree=tree, spans=spans, complete=complete, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +166,37 @@ class PrimalSolution:
     marginal: float                    # y = u_x(x, eps)
     wealth: AdaptedProcess             # optimal wealth under the perturbed unit
     zwealth: AdaptedProcess            # the same wealth in unperturbed units
-    strategy: PredictableProcess       # proportions (bank first) in the perturbed market
-    strategy_base: PredictableProcess  # proportions generating zwealth from the base returns
     foc_residual: float
     diagnostics: dict = field(repr=False, default_factory=dict)
+    unit: AdaptedProcess = field(repr=False, default=None)   # None: the base unit
 
     @property
     def terminal(self) -> np.ndarray:
         return self.wealth.terminal
+
+    # most solves are read only for their value, marginal or wealth, so the
+    # proportions are computed on first access
+
+    @property
+    def strategy_base(self) -> PredictableProcess:
+        """Proportions generating zwealth from the base returns."""
+        if "_strategy_base" not in self.__dict__:
+            self.__dict__["_strategy_base"] = _proportions_from_wealth(
+                self.model.tree, self.zwealth, self.model.returns)
+        return self.__dict__["_strategy_base"]
+
+    @property
+    def strategy(self) -> PredictableProcess:
+        """Proportions (bank first) in the perturbed market."""
+        if self.unit is None:
+            return self.strategy_base
+        if "_strategy" not in self.__dict__:
+            tree = self.model.tree
+            prices = AdaptedProcess(tree, self.model.asset_prices().values
+                                    / self.unit.values[:, None])
+            self.__dict__["_strategy"] = _proportions_from_wealth(
+                tree, self.wealth, _returns_of_prices(tree, prices))
+        return self.__dict__["_strategy"]
 
 
 @dataclass(frozen=True)
@@ -193,21 +231,19 @@ class Optimum:
 
 def _complete_tree_terminal(space, tree, p, N, x, utility):
     """Unique pricing weights + budget root-find; returns leaf wealth Z."""
+    if not space.complete:
+        raise InvariantViolationError("complete-tree path invoked on an incomplete tree")
     q_child = np.ones(tree.n_nodes)
-    for node, sp in space.spans.items():
-        ch = tree.children[node]
-        k = len(ch)
-        if sp.rank != k - 1:
-            raise InvariantViolationError("complete-tree path invoked on an incomplete tree")
-        if sp.rank == 0:
-            q = np.ones(1)
-        else:
-            u_full, _, _ = np.linalg.svd(sp.directions, full_matrices=True)
-            q = u_full[:, k - 1]
-            q = q / q.sum()
+    for k, (nodes, ch) in tree.branch_groups.items():
+        if k == 1:
+            continue
+        V = np.stack([space.spans[node].directions for node in nodes.tolist()])
+        u_full, _, _ = np.linalg.svd(V, full_matrices=True)
+        q = u_full[:, :, k - 1]
+        q = q / q.sum(axis=1, keepdims=True)
         if np.any(q <= 0.0):
             raise InvariantViolationError("pricing weights not positive on a no-arbitrage node")
-        q_child[tree.children[node]] = q
+        q_child[ch] = q
 
     Q = tree.cumulate(q_child, 1.0, np.multiply)
     Ql = Q[tree.leaves]
@@ -243,12 +279,22 @@ def _complete_tree_terminal(space, tree, p, N, x, utility):
     return Z, Q
 
 
+def _foc_residual(space, leaf_grad, scale):
+    """W.T @ leaf_grad and its largest entry conditional on reaching the
+    entry's node, relative to `scale`: entries at low-probability nodes must
+    not hide one-step defects."""
+    if not space.dim:
+        return np.zeros(0), 0.0
+    plan = space.plan
+    grad = plan.gradient(leaf_grad)
+    reach = space.tree.path_prob[plan.col_node]
+    return grad, float(np.max(np.abs(grad) / reach)) / max(scale, 1e-300)
+
+
 def _newton_terminal(space, tree, p, N, x, utility, tol, max_iter):
-    W = space.W
     Nl = N.values[tree.leaves]
-    m_dim = W.shape[1]
-    alpha = np.zeros(m_dim)
-    Z = x + W @ alpha
+    alpha = np.zeros(space.dim)
+    Z = np.full(tree.n_leaves, float(x))
 
     def objective(Zv):
         return float(p @ utility.u(Zv / Nl))
@@ -259,21 +305,15 @@ def _newton_terminal(space, tree, p, N, x, utility, tol, max_iter):
     for it in range(max_iter):
         xi = Z / Nl
         du = utility.du(xi)
-        grad = W.T @ (p * du / Nl)
-        scale = float(p @ (du / Nl))
-        # measure optimality conditionally at each node: entries at
-        # low-probability nodes must not hide one-step defects
-        rel = float(np.max(np.abs(grad) / space.col_reach)) / max(scale, 1e-300) \
-            if m_dim else 0.0
+        leaf_grad = p * du / Nl
+        grad, rel = _foc_residual(space, leaf_grad, float(p @ (du / Nl)))
         if rel <= tol:
             break
         curv = p * (-utility.d2u(xi)) / Nl**2
-        H = W.T @ (W * curv[:, None])
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, grad, rcond=None)[0]
-        Wd = W @ step
+        # the Newton system W'·diag(curv)·W step = grad is the weighted least
+        # squares fit of the leaf payoffs to leaf_grad / curv
+        moves, step, _ = space.plan.solve(curv, leaf_grad / curv, 0.0)
+        Wd = moves[tree.leaves]
         neg = Wd < 0.0
         t = 1.0
         if np.any(neg):
@@ -353,18 +393,10 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     du = utility.du(xi)
     value = float(p @ utility.u(xi))
     y = float(p @ (du / Nl))
-    grad = space.W.T @ (p * du / Nl)
-    foc = float(np.max(np.abs(grad) / space.col_reach)) / max(y, 1e-300) \
-        if space.dim else 0.0
+    _, foc = _foc_residual(space, p * du / Nl, y)
 
     zwealth = AdaptedProcess(tree, Z_nodes)
     wealth = AdaptedProcess(tree, Z_nodes / N.values)
-    strat_base = _proportions_from_wealth(tree, zwealth, m.returns)
-    if eps == 0.0 and numeraire_process is None:
-        strat = strat_base
-    else:
-        prices = AdaptedProcess(tree, m.asset_prices().values / N.values[:, None])
-        strat = _proportions_from_wealth(tree, wealth, _returns_of_prices(tree, prices))
     # terminal wealth spread drives the conditioning of every identity built
     # on this solve; extreme ratios cap attainable double-precision accuracy
     diag = {"complete": complete, "newton_dim": space.dim,
@@ -372,8 +404,8 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
             "redundant_nodes": sorted(n for n, sp in space.spans.items() if sp.redundant)}
     return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
                           value=value, marginal=y, wealth=wealth, zwealth=zwealth,
-                          strategy=strat, strategy_base=strat_base,
-                          foc_residual=foc, diagnostics=diag)
+                          foc_residual=foc, diagnostics=diag,
+                          unit=None if eps == 0.0 and numeraire_process is None else N)
 
 
 def _returns_of_prices(tree, prices: AdaptedProcess) -> AdaptedProcess:
@@ -393,18 +425,20 @@ def _proportions_from_wealth(tree, wealth: AdaptedProcess, returns: AdaptedProce
     Wv = wealth.values
     dim = returns.values.shape[1]
     steps = np.zeros((tree.n_nodes, dim))
-    for node in tree.internal_nodes:
-        ch = tree.children[node]
-        target = Wv[ch] / Wv[node] - 1.0 - dRet[ch, 0]
+    off_span = []
+    for nodes, ch in tree.branch_groups.values():
+        target = Wv[ch] / Wv[nodes, None] - 1.0 - dRet[ch, 0]
         D = dRet[ch, 1:] - dRet[ch, :1]
-        sol, *_ = np.linalg.lstsq(D, target, rcond=None)
-        resid = D @ sol - target
-        if np.max(np.abs(resid)) > 1e-8 * max(1.0, np.max(np.abs(target))):
-            raise InvariantViolationError(
-                f"wealth increments leave the traded span at node {node}"
-            )
-        steps[node, 1:] = sol
-        steps[node, 0] = 1.0 - sol.sum()
+        sol = (np.linalg.pinv(D) @ target[:, :, None])[:, :, 0]
+        resid = (D @ sol[:, :, None])[:, :, 0] - target
+        limit = 1e-8 * np.maximum(1.0, np.max(np.abs(target), axis=1))
+        off_span.extend(nodes[np.max(np.abs(resid), axis=1) > limit].tolist())
+        steps[nodes, 1:] = sol
+        steps[nodes, 0] = 1.0 - sol.sum(axis=1)
+    if off_span:
+        raise InvariantViolationError(
+            f"wealth increments leave the traded span at node {min(off_span)}"
+        )
     return PredictableProcess.from_steps(tree, steps)
 
 

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ContractViolationError
 
 PROB_TOL = 1e-12
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class EventTree:
@@ -57,6 +59,12 @@ class EventTree:
         self.steps = int(self.time.max())
         self.leaves = np.flatnonzero(n_children == 0)
         self.internal_nodes = np.flatnonzero(n_children > 0)
+        # internal nodes by branch count k: k -> (nodes, (len(nodes), k) child ids)
+        first_child = np.cumsum(n_children) - n_children + 1
+        self.branch_groups = {}
+        for k in np.unique(n_children[self.internal_nodes]):
+            nodes = self.internal_nodes[n_children[self.internal_nodes] == k]
+            self.branch_groups[int(k)] = (nodes, first_child[nodes, None] + np.arange(k))
         if np.any(self.time[self.leaves] != self.steps):
             raise ContractViolationError("every root-to-leaf path must have the same length")
         self.levels = np.split(np.arange(n),
@@ -343,3 +351,131 @@ def process_from_coefficients(tree: EventTree, blocks, coeffs, start=0.0) -> np.
     for node, col, V in blocks:
         inc[tree.children[node]] = V @ coeffs[col:col + V.shape[1]]
     return tree.cumulate(inc, start)
+
+
+class BlockPlan:
+    """A span's per-node blocks stacked for the elimination kernel.
+
+    Every internal node enters, those without a block with rank 0.  Nodes
+    are grouped by level and rank; within a group the children are padded
+    to the group's largest branch count with a sentinel node (id n_nodes)
+    that carries zero weight, so one stacked computation serves each
+    group.  Groups are ordered by level, root first."""
+
+    def __init__(self, tree: EventTree, blocks):
+        self.tree = tree
+        by_node = {node: (col, V) for node, col, V in blocks}
+        self.n_cols = sum(V.shape[1] for _, _, V in blocks)
+        self.col_node = np.zeros(self.n_cols, dtype=np.int64)
+        buckets = {}
+        for node in tree.internal_nodes.tolist():
+            col, V = by_node.get(node, (0, np.zeros((len(tree.children[node]), 0))))
+            self.col_node[col:col + V.shape[1]] = node
+            buckets.setdefault((tree.time[node], V.shape[1]), []).append((node, col, V))
+        self.groups = []
+        for (_, r), members in sorted(buckets.items()):
+            nodes = np.array([node for node, _, _ in members])
+            cols = np.array([col for _, col, _ in members])[:, None] + np.arange(r)
+            first = np.searchsorted(tree.parent, nodes)
+            branches = np.searchsorted(tree.parent, nodes, side="right") - first
+            k = int(branches.max())
+            children = first[:, None] + np.arange(k)
+            children[np.arange(k) >= branches[:, None]] = tree.n_nodes
+            V = np.zeros((len(nodes), k, r))
+            for kk in np.unique(branches).tolist():
+                at = np.flatnonzero(branches == kk)
+                V[at, :kk] = np.stack([members[i][2] for i in at.tolist()])
+            self.groups.append((nodes, children, cols, V))
+
+    def gradient(self, leaf_values) -> np.ndarray:
+        """W.T @ leaf_values for the span's payoff matrix W: each coefficient
+        pairs its block column with the subtree totals below the children."""
+        below = np.zeros(self.tree.n_nodes + 1)
+        below[self.tree.leaves] = leaf_values
+        grad = np.empty(self.n_cols)
+        for nodes, children, cols, V in reversed(self.groups):
+            at_children = below[children]
+            below[nodes] = at_children.sum(axis=1)
+            if cols.shape[1]:
+                grad[cols] = (at_children[:, None, :] @ V)[:, 0]
+        return grad
+
+    def solve(self, weights, target, start=None):
+        """Minimize sum(weights * (start + M_T - target)**2) over the
+        martingales M spanned by the blocks, with M_0 = 0 and the start
+        fixed, or free when None.
+
+        Eliminates from the leaves up: the cheapest cost of a node's subtree
+        is h·(a - m)² plus a constant in the value a reached at the node.
+        At a node whose children carry weights h_i and values m_i, the
+        children are fitted by a + V c; h and h·m are the weighted products
+        of the residuals left when 1 and m are fitted by V c, which keeps
+        them accurate when the weights span many decades.  The node values
+        and the coefficients c = beta_m - a·beta_1 are then recovered from
+        the root down.  Returns (node values, coefficients, rank_deficient);
+        a node whose weighted block is rank deficient takes minimum-norm
+        coefficients, and a free start without weight is 0."""
+        tree = self.tree
+        h = np.zeros(tree.n_nodes + 1)
+        m = np.zeros(tree.n_nodes + 1)
+        h[tree.leaves] = weights
+        m[tree.leaves] = target
+        fits = []
+        deficient = False
+        for nodes, children, cols, V in reversed(self.groups):
+            hc = h[children][:, :, None]
+            Y = np.ones(children.shape + (2,))
+            Y[:, :, 1] = m[children]
+            if cols.shape[1]:
+                beta, bad = _block_fit(V, hc, Y)
+                deficient = deficient or bad
+                fit = V @ beta
+                Y -= fit
+                fits.append((beta[:, :, 0], beta[:, :, 1], Y[:, :, 0], fit[:, :, 1]))
+            G = (hc * Y).mT @ Y
+            h[nodes] = G[:, 0, 0]
+            # a subtree without weight has G = 0 and takes m = 0
+            m[nodes] = G[:, 0, 1] / np.maximum(G[:, 0, 0], _TINY)
+
+        if start is None:
+            # h[0] is rounding noise when the weights fit every payoff
+            weightless = not h[0] > _EPS * np.sum(weights)
+            deficient = deficient or weightless
+            start = 0.0 if weightless else m[0]
+        values = np.empty(tree.n_nodes + 1)
+        values[0] = start
+        coeffs = np.empty(self.n_cols)
+        for nodes, children, cols, _V in self.groups:
+            at = values[nodes][:, None]
+            if cols.shape[1]:
+                beta_1, beta_m, resid_1, fit_m = fits.pop()
+                coeffs[cols] = beta_m - at * beta_1
+                # a + V c for c = beta_m - a·beta_1
+                at = at * resid_1 + fit_m
+            values[children] = at
+        return values[:-1], coeffs, deficient
+
+
+def _block_fit(V, hc, Y):
+    """Per node, the coefficients beta minimizing sum(hc * (Y - V @ beta)**2)
+    for both columns of Y, and whether some node's weighted block was rank
+    deficient (then the group takes minimum-norm coefficients)."""
+    HV = (hc * V).mT
+    if V.shape[2] == 1:
+        S = HV @ V
+        weightless = S == 0.0
+        return HV @ Y / (S + weightless), bool(weightless.any())
+    # wider blocks: Householder QR with the heaviest rows first, which stays
+    # accurate when the weights span many decades
+    g, _, r = V.shape
+    order = np.argsort(hc[:, :, 0], axis=1)[:, ::-1]
+    A = (np.sqrt(hc) * np.concatenate([V, Y], axis=2))[np.arange(g)[:, None], order]
+    R = np.linalg.qr(A, mode="raw")[0].mT      # R above the diagonal, reflectors below
+    # rows without weight leave exact zeros on the diagonal of R
+    if not np.all(R[:, np.arange(r), np.arange(r)]):
+        return np.linalg.pinv(HV @ V) @ (HV @ Y), True
+    beta = np.empty((g, r, 2))
+    for j in range(r - 1, -1, -1):
+        rhs = R[:, j, r:] - (R[:, j, j + 1:r, None] * beta[:, j + 1:]).sum(axis=1)
+        beta[:, j] = rhs / R[:, j, j, None]
+    return beta, False

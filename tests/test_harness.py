@@ -170,6 +170,20 @@ def test_verify_all_solves_the_base_pair_and_expansion_once(monkeypatch, t1, mix
     assert len(expansions) == 1
 
 
+def test_run_campaign_builds_the_base_results_once(monkeypatch, t1, logu):
+    spaces = _count_calls(monkeypatch, "attainable_space")
+    expansions = _count_calls(monkeypatch, "expansion_report")
+    camp = dyadic_campaign(t1, logu, 1.0, k_range=range(3, 6))
+    got = run_campaign(camp).to_csv()
+    assert len(spaces) == 1
+    assert len(expansions) == 1
+    # the shared base results give the same bytes as the campaigns run alone
+    monkeypatch.undo()
+    subs = [run_expansion_campaign(camp), run_strategy_campaign(camp)]
+    header, _ = got.split("\n", 1)
+    assert got == header + "\n" + "".join(s.to_csv().split("\n", 1)[1] for s in subs)
+
+
 @pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir"])
 def test_verify_all_equals_its_sub_reports_standalone(request, market, halfpow):
     m = request.getfixturevalue(market)

@@ -5,6 +5,7 @@ import pytest
 
 from numsens.market import perturbation_statistics
 from numsens.sensitivity import (
+    NodeVectors,
     aux_relation_report,
     build_bases,
     expansion_report,
@@ -131,18 +132,17 @@ def test_span_invariance_of_aux_values(twop, mix):
     A = mix.rra(rep.optimum.primal.terminal)
     B = mix.rrt(rep.optimum.dual.terminal)
 
-    def block_mix(Q, nodes, slices):
-        out = np.eye(Q)
+    def block_mix(nodes):
+        # an invertible change of each node's spanning vectors
+        out = []
         for nv in nodes:
-            sl = slices[nv.node]
-            k = sl.stop - sl.start
+            k = nv.vectors.shape[1]
             M = rng.normal(size=(k, k)) + 3 * np.eye(k)
-            out[sl, sl] = M
+            out.append(NodeVectors(nv.node, nv.vectors @ M))
         return out
 
-    T_p = block_mix(basis.primal_dim, basis.primal_nodes, basis.primal_slices)
-    T_d = block_mix(basis.dual_dim, basis.dual_nodes, basis.dual_slices)
-    mixed = dataclasses.replace(basis, Phi=basis.Phi @ T_p, Psi=basis.Psi @ T_d)
+    mixed = dataclasses.replace(basis, primal_nodes=block_mix(basis.primal_nodes),
+                                dual_nodes=block_mix(basis.dual_nodes))
     M0, M1, a_xe = solve_aux_primal(mixed, 1.0, stats.F, stats.G, A)
     N0, N1, b_ye = solve_aux_dual(mixed, rep.y, stats.F, stats.G, B)
     assert M0.value == pytest.approx(rep.a_xx, abs=1e-10)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from numsens.errors import NoOptimizerError
 from numsens.market import MarketModel, numeraire
 from numsens.preferences import log_utility, power_utility
+from numsens.risktol import risk_tolerance
+from numsens.sensitivity import expansion_report
 from numsens.solver import (
     attainable_space,
     pricing_measure,
@@ -18,7 +21,7 @@ from numsens.solver import (
 )
 from numsens.tree import AdaptedProcess, EventTree, PredictableProcess
 
-from conftest import make_random_one_period, one_period_grid_value
+from conftest import make_random_one_period, make_random_tree, one_period_grid_value
 
 
 def test_t1_log_base_solution(t1, logu):
@@ -248,3 +251,21 @@ def test_space_is_independent_of_the_perturbation(seed, frac, x):
         own = solve_primal(m, u, x, eps)
         assert shared.value == own.value and shared.marginal == own.marginal
         assert np.array_equal(shared.wealth.values, own.wealth.values)
+
+
+def test_solve_expansion_and_risk_tolerance_stay_below_the_dense_payoff_matrix():
+    # no leaves-by-columns array: the whole chain peaks below half the bytes
+    # the dense payoff matrix W of this tree would take
+    m = make_random_tree(0, depth=7)
+    assert m.tree.n_nodes >= 1000
+    u = power_utility(0.5)
+    w_bytes = m.tree.n_leaves * attainable_space(m).dim * 8
+    tracemalloc.start()
+    try:
+        opt = solve_pair(m, u, 1.0)
+        expansion_report(m, u, 1.0, optimum=opt)
+        risk_tolerance(m, u, 1.0, optimum=opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w_bytes / 2

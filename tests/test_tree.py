@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from numsens.sensitivity import orthogonal_spans
 from numsens.solver import attainable_space
 from numsens.tree import (
     AdaptedProcess,
+    BlockPlan,
     EventTree,
     PredictableProcess,
     process_from_coefficients,
@@ -299,3 +301,111 @@ def test_payoff_matrix_matches_coefficient_process_bases(seed, dim):
         _check_blocks(tree, basis.blocks(side), M, c)
         assert np.array_equal(basis.expand_process(side, c),
                               process_from_coefficients(tree, basis.blocks(side), c))
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against dense weighted least squares
+# ---------------------------------------------------------------------------
+
+
+def dense_weighted_lsq(tree, blocks, n_cols, weights, target, start):
+    """The oracle: minimize sum(weights * (start + M @ beta - target)**2) on
+    the dense payoff matrix M, with a column of ones for a free start
+    (None); minimum-norm on rank deficiency.  Returns (leaf values,
+    rank_deficient)."""
+    M = naive_payoff_matrix(tree, blocks, n_cols)
+    shift = 0.0 if start is None else start
+    if start is None:
+        M = np.column_stack([np.ones(tree.n_leaves), M])
+    sw = np.sqrt(weights)
+    beta, _, rank, _ = np.linalg.lstsq(M * sw[:, None], (target - shift) * sw, rcond=None)
+    return shift + M @ beta, rank < M.shape[1]
+
+
+def exact_weighted_lsq(tree, blocks, n_cols, weights, target, start):
+    """Leaf values of the same dense problem, solved through its normal
+    equations at 40 digits (full rank only)."""
+    M = naive_payoff_matrix(tree, blocks, n_cols)
+    shift = 0.0 if start is None else start
+    if start is None:
+        M = np.column_stack([np.ones(tree.n_leaves), M])
+    if M.shape[1] == 0:
+        return np.full(tree.n_leaves, shift)
+    to_mp = np.frompyfunc(mpmath.mpf, 1, 1)
+    with mpmath.workdps(40):
+        A, w, b = to_mp(M), to_mp(weights), to_mp(target - shift)
+        normal = mpmath.matrix((A.T @ (A * w[:, None])).tolist())
+        beta = mpmath.lu_solve(normal, mpmath.matrix((A.T @ (w * b)).tolist()))
+        fitted = A @ np.array(beta.tolist(), dtype=object)[:, 0]
+    return shift + fitted.astype(float)
+
+
+def random_blocks(tree, rng):
+    """Blocks of random rank 0..k-1 (rank 0 for every single-child node)."""
+    blocks, col = [], 0
+    for node in tree.internal_nodes.tolist():
+        k = len(tree.children[node])
+        r = int(rng.integers(0, k))
+        if r:
+            blocks.append((node, col, rng.normal(size=(k, r))))
+            col += r
+    return blocks
+
+
+def _elimination_case(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "trinomial":
+        m = make_random_tree(seed % 1000, depth=1 + seed % 4)
+        return m.tree, attainable_space(m).blocks, rng
+    if kind == "two-asset":
+        m = two_asset_market(depth=2)
+        return m.tree, attainable_space(m).blocks, rng
+    tree = random_tree(seed)
+    return tree, random_blocks(tree, rng), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["trinomial", "two-asset", "random-blocks"]),
+       st.sampled_from(["narrow", "wide", "zero-subtree"]), st.booleans())
+def test_elimination_matches_dense_oracle(seed, kind, spread, free_start):
+    tree, blocks, rng = _elimination_case(seed, kind)
+    plan = BlockPlan(tree, blocks)
+    L = tree.n_leaves
+    if spread == "wide":
+        # leaf weights spanning 12 decades
+        weights = np.logspace(-12.0, 0.0, L)[rng.permutation(L)]
+    else:
+        weights = rng.uniform(0.5, 2.0, L)
+    if spread == "zero-subtree":
+        # no weight below the first child of some internal node
+        node = int(rng.choice(tree.internal_nodes))
+        child = tree.children[node][0]
+        weights[tree.ancestors[:, tree.time[child]] == child] = 0.0
+    target = rng.normal(size=L)
+    start = None if free_start else float(rng.normal())
+
+    values, coeffs, deficient = plan.solve(weights, target, start)
+    got = values[tree.leaves]
+    dense, dense_deficient = dense_weighted_lsq(tree, blocks, plan.n_cols, weights, target, start)
+    assert deficient == dense_deficient
+    if spread == "wide":
+        # float64 lstsq itself drifts by up to ~1e-9 here; use the exact solve
+        want = exact_weighted_lsq(tree, blocks, plan.n_cols, weights, target, start)
+    else:
+        want = dense
+    scale = max(1.0, np.max(np.abs(want)))
+    # a rank-deficient problem leaves the values without weight open, and
+    # the kernel's per-node minimum norm is not the oracle's global one
+    seen = weights > 0.0 if deficient else slice(None)
+    assert np.max(np.abs(got - want)[seen], initial=0.0) <= 1e-12 * scale
+    shift = 0.0 if start is None else start
+    objective_scale = weights @ (target - shift) ** 2
+    assert abs(weights @ (got - target) ** 2 - weights @ (want - target) ** 2) \
+        <= 1e-12 * objective_scale
+    # the node values are the process the coefficients generate
+    assert np.max(np.abs(values - process_from_coefficients(
+        tree, blocks, coeffs, values[0]))) <= 1e-12 * scale
+    g = rng.normal(size=L)
+    W = naive_payoff_matrix(tree, blocks, plan.n_cols)
+    assert np.max(np.abs(plan.gradient(g) - W.T @ g), initial=0.0) \
+        <= 1e-12 * max(1.0, np.max(np.abs(W.T @ g), initial=0.0))
