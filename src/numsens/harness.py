@@ -225,6 +225,8 @@ def run_campaign(c: Campaign) -> Report:
     """Dispatch the campaign's selected checks into one report; the base
     space, optimum and expansion are computed once and shared."""
     rep = Report(title="campaign")
+    if not {"expansion", "strategy"} & set(c.checks):
+        return rep
     m, u, x = c.model, c.utility, c.x
     space = attainable_space(m)
     opt = solve_pair(m, u, x, 0.0, space=space)

@@ -2,14 +2,16 @@
 the second-order coefficients.
 
 The target payoff is the reciprocal-risk-aversion-scaled optimal wealth
-(-U'/U'' at the optimum).  Its replication is the tree-elimination kernel's
-least-squares fit over the attainable space with a free starting capital;
-the kernel returns the replicating wealth at every node.  When the payoff
-is replicable, discounting by the replicating process and reweighting by
-its terminal value times the dual density yields a measure under which the
-mixed second-order coefficients come from a two-component orthogonal
-decomposition of one conditional-expectation martingale — an independent
-route to the same numbers the least-squares engine produces.
+(-U'/U'' at the optimum).  Its replication is still a dense weighted least-
+squares fit on the payoff matrix `AttainableSpace.W`, built for this fit
+alone, not a pass of the tree-elimination kernel: the initial capitals in
+`perfbench/reference.json` carry this fit's rounding (up to 1.6e-12
+relative), so moving it onto the kernel waits for those to be re-recorded.
+When the payoff is replicable, discounting by the replicating process and
+reweighting by its terminal value times the dual density yields a measure
+under which the mixed second-order coefficients come from a two-component
+orthogonal decomposition of one conditional-expectation martingale — an
+independent route to the same numbers the least-squares engine produces.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .sensitivity import ExpansionReport, MartingaleBasis, orthogonal_spans
 from .solver import AttainableSpace, Optimum, attainable_space, solve_pair
-from .tree import AdaptedProcess
+from .tree import AdaptedProcess, process_from_coefficients
 
 _REPLICATION_TOL = 1e-8
 
@@ -51,15 +53,17 @@ def risk_tolerance(m: MarketModel, utility: Utility, x: float, *,
     payoff = -utility.du(XT) / utility.d2u(XT)
 
     p = tree.leaf_prob
-    # least squares over the starting capital and the attainable payoffs
-    vals, _, _ = space.plan.solve(p, payoff)
-    resid = vals[tree.leaves] - payoff
+    sw = np.sqrt(p)
+    design = np.column_stack([np.ones(tree.n_leaves), space.W])
+    sol, *_ = np.linalg.lstsq(design * sw[:, None], payoff * sw, rcond=None)
+    resid = design @ sol - payoff
     certificate = float(np.sqrt(p @ resid**2))
     scale = float(np.sqrt(p @ payoff**2))
     if certificate > _REPLICATION_TOL * max(1.0, scale):
         return RiskToleranceProcess(exists=False, certificate=certificate, payoff=payoff)
 
-    z = float(vals[0])
+    z = float(sol[0])
+    vals = process_from_coefficients(tree, space.blocks, sol[1:], z)
     if np.any(vals <= 0.0):
         raise InvariantViolationError("replicating process of a positive payoff went nonpositive")
     return RiskToleranceProcess(exists=True, certificate=certificate, payoff=payoff,

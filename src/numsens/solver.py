@@ -166,37 +166,14 @@ class PrimalSolution:
     marginal: float                    # y = u_x(x, eps)
     wealth: AdaptedProcess             # optimal wealth under the perturbed unit
     zwealth: AdaptedProcess            # the same wealth in unperturbed units
+    strategy: PredictableProcess       # proportions (bank first) in the perturbed market
+    strategy_base: PredictableProcess  # proportions generating zwealth from the base returns
     foc_residual: float
     diagnostics: dict = field(repr=False, default_factory=dict)
-    unit: AdaptedProcess = field(repr=False, default=None)   # None: the base unit
 
     @property
     def terminal(self) -> np.ndarray:
         return self.wealth.terminal
-
-    # most solves are read only for their value, marginal or wealth, so the
-    # proportions are computed on first access
-
-    @property
-    def strategy_base(self) -> PredictableProcess:
-        """Proportions generating zwealth from the base returns."""
-        if "_strategy_base" not in self.__dict__:
-            self.__dict__["_strategy_base"] = _proportions_from_wealth(
-                self.model.tree, self.zwealth, self.model.returns)
-        return self.__dict__["_strategy_base"]
-
-    @property
-    def strategy(self) -> PredictableProcess:
-        """Proportions (bank first) in the perturbed market."""
-        if self.unit is None:
-            return self.strategy_base
-        if "_strategy" not in self.__dict__:
-            tree = self.model.tree
-            prices = AdaptedProcess(tree, self.model.asset_prices().values
-                                    / self.unit.values[:, None])
-            self.__dict__["_strategy"] = _proportions_from_wealth(
-                tree, self.wealth, _returns_of_prices(tree, prices))
-        return self.__dict__["_strategy"]
 
 
 @dataclass(frozen=True)
@@ -397,6 +374,12 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
 
     zwealth = AdaptedProcess(tree, Z_nodes)
     wealth = AdaptedProcess(tree, Z_nodes / N.values)
+    strat_base = _proportions_from_wealth(tree, zwealth, m.returns)
+    if eps == 0.0 and numeraire_process is None:
+        strat = strat_base
+    else:
+        prices = AdaptedProcess(tree, m.asset_prices().values / N.values[:, None])
+        strat = _proportions_from_wealth(tree, wealth, _returns_of_prices(tree, prices))
     # terminal wealth spread drives the conditioning of every identity built
     # on this solve; extreme ratios cap attainable double-precision accuracy
     diag = {"complete": complete, "newton_dim": space.dim,
@@ -404,8 +387,8 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
             "redundant_nodes": sorted(n for n, sp in space.spans.items() if sp.redundant)}
     return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
                           value=value, marginal=y, wealth=wealth, zwealth=zwealth,
-                          foc_residual=foc, diagnostics=diag,
-                          unit=None if eps == 0.0 and numeraire_process is None else N)
+                          strategy=strat, strategy_base=strat_base,
+                          foc_residual=foc, diagnostics=diag)
 
 
 def _returns_of_prices(tree, prices: AdaptedProcess) -> AdaptedProcess:
@@ -429,7 +412,14 @@ def _proportions_from_wealth(tree, wealth: AdaptedProcess, returns: AdaptedProce
     for nodes, ch in tree.branch_groups.values():
         target = Wv[ch] / Wv[nodes, None] - 1.0 - dRet[ch, 0]
         D = dRet[ch, 1:] - dRet[ch, :1]
-        sol = (np.linalg.pinv(D) @ target[:, :, None])[:, :, 0]
+        if dim == 2:
+            # one stock: the pseudo-inverse of a column is its transpose over
+            # its square length, and a column of zeros takes no position
+            d = D[:, :, 0]
+            length = (d * d).sum(axis=1)
+            sol = ((d * target).sum(axis=1) / np.where(length > 0.0, length, 1.0))[:, None]
+        else:
+            sol = (np.linalg.pinv(D) @ target[:, :, None])[:, :, 0]
         resid = (D @ sol[:, :, None])[:, :, 0] - target
         limit = 1e-8 * np.maximum(1.0, np.max(np.abs(target), axis=1))
         off_span.extend(nodes[np.max(np.abs(resid), axis=1) > limit].tolist())

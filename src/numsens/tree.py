@@ -59,12 +59,14 @@ class EventTree:
         self.steps = int(self.time.max())
         self.leaves = np.flatnonzero(n_children == 0)
         self.internal_nodes = np.flatnonzero(n_children > 0)
+        # siblings are consecutive: node n's children are first_child[n] + range(n_children[n])
+        self.n_children = n_children
+        self.first_child = np.cumsum(n_children) - n_children + 1
         # internal nodes by branch count k: k -> (nodes, (len(nodes), k) child ids)
-        first_child = np.cumsum(n_children) - n_children + 1
         self.branch_groups = {}
         for k in np.unique(n_children[self.internal_nodes]):
             nodes = self.internal_nodes[n_children[self.internal_nodes] == k]
-            self.branch_groups[int(k)] = (nodes, first_child[nodes, None] + np.arange(k))
+            self.branch_groups[int(k)] = (nodes, self.first_child[nodes, None] + np.arange(k))
         if np.any(self.time[self.leaves] != self.steps):
             raise ContractViolationError("every root-to-leaf path must have the same length")
         self.levels = np.split(np.arange(n),
@@ -376,10 +378,9 @@ class BlockPlan:
         for (_, r), members in sorted(buckets.items()):
             nodes = np.array([node for node, _, _ in members])
             cols = np.array([col for _, col, _ in members])[:, None] + np.arange(r)
-            first = np.searchsorted(tree.parent, nodes)
-            branches = np.searchsorted(tree.parent, nodes, side="right") - first
+            branches = tree.n_children[nodes]
             k = int(branches.max())
-            children = first[:, None] + np.arange(k)
+            children = tree.first_child[nodes, None] + np.arange(k)
             children[np.arange(k) >= branches[:, None]] = tree.n_nodes
             V = np.zeros((len(nodes), k, r))
             for kk in np.unique(branches).tolist():
@@ -460,22 +461,20 @@ def _block_fit(V, hc, Y):
     """Per node, the coefficients beta minimizing sum(hc * (Y - V @ beta)**2)
     for both columns of Y, and whether some node's weighted block was rank
     deficient (then the group takes minimum-norm coefficients)."""
-    HV = (hc * V).mT
     if V.shape[2] == 1:
+        HV = (hc * V).mT
         S = HV @ V
         weightless = S == 0.0
         return HV @ Y / (S + weightless), bool(weightless.any())
     # wider blocks: Householder QR with the heaviest rows first, which stays
     # accurate when the weights span many decades
-    g, _, r = V.shape
-    order = np.argsort(hc[:, :, 0], axis=1)[:, ::-1]
-    A = (np.sqrt(hc) * np.concatenate([V, Y], axis=2))[np.arange(g)[:, None], order]
-    R = np.linalg.qr(A, mode="raw")[0].mT      # R above the diagonal, reflectors below
+    r = V.shape[2]
+    order = np.argsort(-hc, axis=1)
+    A = np.take_along_axis(np.sqrt(hc) * np.concatenate([V, Y], axis=2), order, axis=1)
+    # R above the diagonal, reflectors below
+    R = np.triu(np.linalg.qr(A, mode="raw")[0].mT[:, :r])
     # rows without weight leave exact zeros on the diagonal of R
-    if not np.all(R[:, np.arange(r), np.arange(r)]):
+    if not np.diagonal(R, axis1=1, axis2=2).all():
+        HV = (hc * V).mT
         return np.linalg.pinv(HV @ V) @ (HV @ Y), True
-    beta = np.empty((g, r, 2))
-    for j in range(r - 1, -1, -1):
-        rhs = R[:, j, r:] - (R[:, j, j + 1:r, None] * beta[:, j + 1:]).sum(axis=1)
-        beta[:, j] = rhs / R[:, j, j, None]
-    return beta, False
+    return np.linalg.solve(R[:, :, :r], R[:, :, r:]), False

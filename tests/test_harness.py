@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -182,6 +183,13 @@ def test_run_campaign_builds_the_base_results_once(monkeypatch, t1, logu):
     subs = [run_expansion_campaign(camp), run_strategy_campaign(camp)]
     header, _ = got.split("\n", 1)
     assert got == header + "\n" + "".join(s.to_csv().split("\n", 1)[1] for s in subs)
+
+
+def test_run_campaign_without_campaign_checks_solves_nothing(monkeypatch, t1, logu):
+    spaces = _count_calls(monkeypatch, "attainable_space")
+    camp = dataclasses.replace(dyadic_campaign(t1, logu, 1.0, k_range=range(3, 6)), checks=())
+    assert run_campaign(camp).checks == []
+    assert spaces == []
 
 
 @pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir"])

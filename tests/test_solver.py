@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numsens.errors import NoOptimizerError
+from numsens import solver
+from numsens.errors import InvariantViolationError, NoOptimizerError
 from numsens.market import MarketModel, numeraire
 from numsens.preferences import log_utility, power_utility
-from numsens.risktol import risk_tolerance
 from numsens.sensitivity import expansion_report
 from numsens.solver import (
     attainable_space,
@@ -214,6 +214,22 @@ def test_solution_strategies_regenerate_wealth(twop, mix):
     assert np.max(np.abs(pert - sol.wealth.values) / sol.wealth.values) <= 1e-11
 
 
+def test_wealth_off_the_traded_span_fails_the_solve(monkeypatch, twop, logu):
+    leaf = int(twop.tree.leaves[0])
+    proportions = solver._proportions_from_wealth
+
+    def bumped(tree, wealth, returns):
+        values = wealth.values.copy()
+        values[leaf] *= 1.01
+        return proportions(tree, AdaptedProcess(tree, values), returns)
+
+    # solve_primal checks the span of both strategies when it builds them
+    monkeypatch.setattr(solver, "_proportions_from_wealth", bumped)
+    with pytest.raises(InvariantViolationError,
+                       match=f"traded span at node {twop.tree.parent[leaf]}$"):
+        solve_primal(twop, logu, 1.0, 0.1)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_random_tree_duality_properties(seed):
@@ -253,9 +269,9 @@ def test_space_is_independent_of_the_perturbation(seed, frac, x):
         assert np.array_equal(shared.wealth.values, own.wealth.values)
 
 
-def test_solve_expansion_and_risk_tolerance_stay_below_the_dense_payoff_matrix():
-    # no leaves-by-columns array: the whole chain peaks below half the bytes
-    # the dense payoff matrix W of this tree would take
+def test_solve_and_expansion_stay_below_the_dense_payoff_matrix():
+    # no leaves-by-columns array: the chain peaks below half the bytes the
+    # dense payoff matrix W of this tree would take
     m = make_random_tree(0, depth=7)
     assert m.tree.n_nodes >= 1000
     u = power_utility(0.5)
@@ -264,7 +280,6 @@ def test_solve_expansion_and_risk_tolerance_stay_below_the_dense_payoff_matrix()
     try:
         opt = solve_pair(m, u, 1.0)
         expansion_report(m, u, 1.0, optimum=opt)
-        risk_tolerance(m, u, 1.0, optimum=opt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
