@@ -10,9 +10,9 @@ step is the weighted least-squares fit that the tree-elimination kernel
 (`tree.BlockPlan`, built once per attainable space) solves in time linear in
 the node count, and the gradient behind the first-order residual comes from
 subtree totals; the payoff matrix `AttainableSpace.W` is a view built on
-access that no solve reads.  Complete trees (every one-step market spans its
-child space) instead use the unique one-step pricing weights and a
-one-dimensional budget root-find.
+access, read only by the risk-tolerance replication.  Complete trees (every
+one-step market spans its child space) instead use the unique one-step
+pricing weights and a one-dimensional budget root-find.
 
 The dual optimizer is built from the primal one: its terminal value is the
 marginal utility of the optimal wealth, and the product with the optimal
@@ -84,7 +84,8 @@ class AttainableSpace:
 
     @property
     def W(self) -> np.ndarray:
-        """(n_leaves, dim) payoff matrix, built on each access; no solve reads it."""
+        """(n_leaves, dim) payoff matrix, built on each access; only the
+        risk-tolerance replication reads it."""
         return payoff_matrix(self.tree, self.blocks, self.dim)
 
 
