@@ -2,11 +2,11 @@
 the second-order coefficients.
 
 The target payoff is the reciprocal-risk-aversion-scaled optimal wealth
-(-U'/U'' at the optimum).  Its replication is still a dense weighted least-
+(-U'/U'' at the optimum).  Its replication is a dense weighted least-
 squares fit on the payoff matrix `AttainableSpace.W`, built for this fit
-alone, not a pass of the tree-elimination kernel: the initial capitals in
-`perfbench/reference.json` carry this fit's rounding (up to 1.6e-12
-relative), so moving it onto the kernel waits for those to be re-recorded.
+alone, rather than a pass of the tree-elimination kernel: the initial
+capitals in `perfbench/reference.json` carry this fit's rounding, which a
+kernel fit would move by up to 1.6e-12 relative, beyond their gate.
 When the payoff is replicable, discounting by the replicating process and
 reweighting by its terminal value times the dual density yields a measure
 under which the mixed second-order coefficients come from a two-component
