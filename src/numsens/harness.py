@@ -191,10 +191,6 @@ class Campaign:
             if dx == 0.0 and e == 0.0:
                 raise ContractViolationError("grid points must have a nonzero radius")
 
-    @property
-    def radii(self):
-        return [math.hypot(dx, e) for dx, e in zip(self.dx_grid, self.eps_grid)]
-
 
 def dyadic_campaign(model, utility, x, k_range=range(3, 9), direction=(1.0, 1.0), **kw) -> Campaign:
     dxs = tuple(direction[0] * 2.0**-k for k in k_range)
@@ -202,7 +198,7 @@ def dyadic_campaign(model, utility, x, k_range=range(3, 9), direction=(1.0, 1.0)
     return Campaign(model=model, utility=utility, x=x, dx_grid=dxs, eps_grid=eps, **kw)
 
 
-def _decay_check(report, name, anchor, residuals, radii, factor, floor, note=""):
+def _decay_check(report, name, anchor, residuals, factor, floor, note=""):
     """Residuals must shrink by `factor` per radius halving until below the
     floor; pairs already at the floor are exempt."""
     worst = math.inf
@@ -293,7 +289,7 @@ def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
         rep.add(f"u-quad-residual@{math.hypot(dx, e):.6g}", "quadratic-expansion-primal",
                 r, 0.0, r, True)
     _decay_check(rep, "u-expansion-decay", "quadratic-expansion-primal",
-                 resid_u, c.radii, c.expansion_decay, c.floor)
+                 resid_u, c.expansion_decay, c.floor)
 
     def v_point(pt):
         dy, e = pt
@@ -337,7 +333,7 @@ def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
         rep.add(f"v-quad-residual@{math.hypot(dy, e):.6g}", "quadratic-expansion-dual",
                 r, 0.0, r, True)
     _decay_check(rep, "v-expansion-decay", "quadratic-expansion-dual",
-                 resid_v, c.radii, c.expansion_decay, c.floor)
+                 resid_v, c.expansion_decay, c.floor)
 
     rel = aux_relation_report(ex)
     rep.add("aux-value-identities", "aux-cross-identities",
@@ -377,7 +373,7 @@ def run_strategy_campaign(c: Campaign, *, space: AttainableSpace = None,
         rep.add(f"match-residual@{math.hypot(dx, e):.6g}", "second-order-value-matching",
                 r, 0.0, abs(r), True, f"level {n}")
     _decay_check(rep, "match-residual-decay", "second-order-value-matching",
-                 residuals, c.radii, c.strategy_decay, c.floor)
+                 residuals, c.strategy_decay, c.floor)
     rep.add("selected-levels-monotone", "level-selection-rule",
             float(levels[-1]), float(levels[0]), 0.0,
             all(levels[i] <= levels[i + 1] for i in range(len(levels) - 1)),
@@ -425,9 +421,10 @@ def solve_report(m: MarketModel, utility: Utility, x: float, eps: float = 0.0, *
     rep.add("conjugacy-gap", "value-conjugacy", pair.dual.conjugacy_residual, 0.0,
             pair.dual.conjugacy_residual, pair.dual.conjugacy_residual <= 1e-10)
     dr = verify_deflator(m, eps, pair.dual.deflator)
+    ok = dr.max_violation <= 1e-10
     rep.add("deflator-supermartingale", "dual-domain-membership", dr.max_violation, 0.0,
-            dr.max_violation, dr.max_violation <= 1e-10,
-            f"{dr.checks} one-step inequalities")
+            dr.max_violation, ok, f"{dr.checks} one-step inequalities"
+            + ("" if ok else f"; worst at node {dr.worst_node}, allowed 1e-10"))
     if eps == 0.0:
         wsum = float(np.sum(pair.r_weights))
         rep.add("pricing-weights-total", "pricing-measure", wsum, 1.0,
@@ -491,29 +488,20 @@ def _counterexample_unbounded_jumps(eps_list, n_max) -> Report:
     m = three_time_jump_market(n_max)
     rep = Report(title="counterexample-unbounded-jumps",
                  metadata={"model": model_digest(m), "n_max": n_max})
-    tree = m.tree
-    first = [nd for nd in tree.internal_nodes if tree.time[nd] == 1]
+    # scenario n is the n-th node of date 1; its moves end at date 2
+    first, second = m.tree.levels[1:3]
     for eps in eps_list:
-        drive = stochastic_integral(eps * m.theta, m.returns)
-        N = stochastic_exponential(drive)
-        witness = None
-        for n, node in enumerate(first, start=1):
-            for child in tree.children[node]:
-                if N.values[child] < 0.0:
-                    witness = (n, float(N.values[child]))
-                    break
-            if witness:
-                break
+        N = stochastic_exponential(stochastic_integral(eps * m.theta, m.returns)).values
+        negative = second[N[second] < 0.0]
         if eps == 0.0:
-            ok = witness is None
-            rep.add("no-violation@0", "positivity-boundary", 1.0, 1.0, 0.0, ok,
+            rep.add("no-violation@0", "positivity-boundary", 1.0, 1.0, 0.0, not negative.size,
                     "unperturbed unit stays at 1")
-        elif witness is None:
+        elif not negative.size:
             rep.add(f"negative-unit@{_fmt(float(eps))}", "positivity-boundary",
                     math.nan, math.nan, math.nan, False,
                     f"no violating scenario up to weight {n_max}; increase n_max")
         else:
-            n, val = witness
+            n, val = int(m.tree.parent[negative[0]] - first[0]) + 1, float(N[negative[0]])
             rep.add(f"negative-unit@{_fmt(float(eps))}", "positivity-boundary",
                     val, 0.0, 0.0, val < 0.0,
                     f"weight {n}, unit value {_fmt(val)}")

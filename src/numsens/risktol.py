@@ -25,7 +25,7 @@ from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .sensitivity import ExpansionReport, MartingaleBasis, orthogonal_spans
 from .solver import AttainableSpace, Optimum, attainable_space, solve_pair
-from .tree import AdaptedProcess, process_from_coefficients
+from .tree import AdaptedProcess
 
 _REPLICATION_TOL = 1e-8
 
@@ -63,7 +63,7 @@ def risk_tolerance(m: MarketModel, utility: Utility, x: float, *,
         return RiskToleranceProcess(exists=False, certificate=certificate, payoff=payoff)
 
     z = float(sol[0])
-    vals = process_from_coefficients(tree, space.blocks, sol[1:], z)
+    vals = space.plan.process(sol[1:], z)
     if np.any(vals <= 0.0):
         raise InvariantViolationError("replicating process of a positive payoff went nonpositive")
     return RiskToleranceProcess(exists=True, certificate=certificate, payoff=payoff,
@@ -114,24 +114,7 @@ def gkw_decompose(m: MarketModel, utility: Utility, x: float,
     Sdisc = m.asset_prices().values * (rt.initial / rt.process.values)[:, None]
     basis = orthogonal_spans(tree, Sdisc, wts)
 
-    span_at = {nv.node: nv.vectors for nv in basis.primal_nodes}
-    Mv = np.zeros(tree.n_nodes)
-    Nv = np.zeros(tree.n_nodes)
-    defect = 0.0
-    for node in tree.internal_nodes:
-        ch = tree.children[node]
-        w = basis.child_weights[int(node)]
-        dP = P[ch] - P[node]
-        V = span_at.get(int(node))
-        if V is None:
-            proj = np.zeros(len(ch))
-        else:
-            Gram = (V * w[:, None]).T @ V
-            proj = V @ np.linalg.solve(Gram, (V * w[:, None]).T @ dP)
-        Mv[ch] = Mv[node] - proj
-        Nv[ch] = Nv[node] - (dP - proj)
-        defect = max(defect, abs(float((w * proj) @ (dP - proj))))
-
+    Mv, Nv, defect = _hedge_split(basis, P)
     err = np.max(np.abs(P - (P[0] - Mv - Nv)))
     if err > 1e-9 * max(1.0, np.max(np.abs(P))):
         raise InvariantViolationError("decomposition components fail to re-sum")
@@ -139,6 +122,29 @@ def gkw_decompose(m: MarketModel, utility: Utility, x: float,
                             M_component=AdaptedProcess(tree, Mv),
                             N_component=AdaptedProcess(tree, Nv),
                             orthogonality_defect=defect, basis=basis, weights=wts)
+
+
+def _hedge_split(basis: MartingaleBasis, P: np.ndarray):
+    """Node values of M and N with P = P0 - M - N, and their orthogonality
+    defect: at each node M takes the projection of P's increments onto the
+    hedgeable span in the conditional inner product, N the rest.  Stacked
+    by the primal plan's groups, whose padded children (id n_nodes) carry
+    no weight, no increment and no vectors."""
+    tree = basis.tree
+    n = tree.n_nodes
+    w_pad = np.append(basis.child_weights, 0.0)
+    dP = np.zeros(n + 1)
+    dP[1:n] = P[1:] - P[tree.parent[1:]]
+    proj = np.zeros(n + 1)
+    defect = 0.0
+    for _nodes, children, cols, V in basis.primal_plan.groups:
+        if cols.shape[1]:
+            w, d = w_pad[children], dP[children]
+            WV = (V * w[:, :, None]).mT
+            fit = (V @ np.linalg.solve(WV @ V, WV @ d[:, :, None]))[:, :, 0]
+            proj[children] = fit
+            defect = max(defect, float(np.max(np.abs(((w * fit) * (d - fit)).sum(axis=1)))))
+    return tree.cumulate(-proj[:n], 0.0), tree.cumulate(proj[:n] - dP[:n], 0.0), defect
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import ContractViolationError
 from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .solver import Optimum, solve_pair
-from .tree import BlockPlan, EventTree, payoff_matrix, process_from_coefficients
+from .tree import BlockPlan, EventTree, payoff_matrix
 
 _ORTH_TOL = 1e-12
 
@@ -46,7 +46,7 @@ class MartingaleBasis:
 
     tree: EventTree
     weights: np.ndarray = field(repr=False)          # pricing-measure leaf weights
-    child_weights: dict = field(repr=False)          # node -> conditional child probs
+    child_weights: np.ndarray = field(repr=False)    # node -> its conditional probability
     primal_nodes: list = field(repr=False)           # list[NodeVectors]
     dual_nodes: list = field(repr=False)
     primal_slices: dict = field(repr=False)
@@ -84,7 +84,7 @@ class MartingaleBasis:
 
     def expand_process(self, side: str, coeffs: np.ndarray) -> np.ndarray:
         """Node values of the martingale with the given basis coefficients."""
-        return process_from_coefficients(self.tree, self.blocks(side), coeffs)
+        return (self.primal_plan if side == "primal" else self.dual_plan).process(coeffs)
 
 
 def _blocks(nodes, slices):
@@ -96,9 +96,11 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
     `Sdisc` and their orthocomplement inside the zero-conditional-mean space,
     all under the leaf measure `r`."""
     mass = tree.node_mass(r)
-    child_w, primal_at, dual_at = {}, {}, {}
+    child_w = np.ones(tree.n_nodes)
+    child_w[1:] = mass[1:] / mass[tree.parent[1:]]
+    primal_at, dual_at = {}, {}
     for k, (nodes, ch) in tree.branch_groups.items():
-        w = mass[ch] / mass[nodes, None]
+        w = child_w[ch]
         inc = Sdisc[ch] - Sdisc[nodes, None]
         # compensate any residual conditional mean, then orthonormalize in
         # the conditional inner product
@@ -120,7 +122,6 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
                 )
             primal_at.update(zip(at, P))
             dual_at.update(zip(at, Dv))
-        child_w.update(zip(nodes.tolist(), w))
 
     primal_nodes, dual_nodes = [], []
     primal_slices, dual_slices = {}, {}
@@ -135,7 +136,7 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
             dual_nodes.append(NodeVectors(node, Dv))
             dual_slices[node] = slice(dcol, dcol + Dv.shape[1])
             dcol += Dv.shape[1]
-    return MartingaleBasis(tree=tree, weights=r, child_weights=dict(sorted(child_w.items())),
+    return MartingaleBasis(tree=tree, weights=r, child_weights=child_w,
                            primal_nodes=primal_nodes, dual_nodes=dual_nodes,
                            primal_slices=primal_slices, dual_slices=dual_slices)
 

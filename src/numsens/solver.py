@@ -45,7 +45,6 @@ from .tree import (
     EventTree,
     PredictableProcess,
     payoff_matrix,
-    process_from_coefficients,
 )
 
 _RANK_TOL = 1e-12
@@ -134,11 +133,12 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
         raise NoOptimizerError(
             f"one-step arbitrage at node {first}: no optimizer exists (NUPBR fails)"
         )
-    spans = {}
-    for nodes, ch in tree.branch_groups.values():
+    spans, complete = {}, True
+    for k, (nodes, ch) in tree.branch_groups.items():
         D = dR[ch][:, :, 1:]
         u_, s, _ = np.linalg.svd(D, full_matrices=False)
         ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
+        complete = complete and bool(np.all(ranks == k - 1))
         for node, u_node, rank in zip(nodes.tolist(), u_, ranks.tolist()):
             spans[node] = NodeSpan(node=node, directions=u_node[:, :rank].copy(),
                                    rank=rank, redundant=rank < min(D.shape[1:]))
@@ -148,7 +148,6 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
         if sp.rank:
             blocks.append((node, col, sp.directions))
         col += sp.rank
-    complete = all(sp.rank == len(tree.children[node]) - 1 for node, sp in spans.items())
     return AttainableSpace(tree=tree, spans=spans, complete=complete, blocks=blocks)
 
 
@@ -362,7 +361,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
         alpha = None
     else:
         Z_leaf, alpha = _newton_terminal(space, tree, p, N, x, utility, tol, max_iter)
-        Z_nodes = process_from_coefficients(tree, space.blocks, alpha, float(x))
+        Z_nodes = space.plan.process(alpha, float(x))
 
     if np.any(Z_nodes <= 0.0):
         raise InvariantViolationError("optimal wealth failed strict positivity")
@@ -407,30 +406,38 @@ def _proportions_from_wealth(tree, wealth: AdaptedProcess, returns: AdaptedProce
     d(wealth)/wealth_- = pi · d(returns) at every node."""
     dRet = returns.increments()
     Wv = wealth.values
-    dim = returns.values.shape[1]
-    steps = np.zeros((tree.n_nodes, dim))
-    off_span = []
-    for nodes, ch in tree.branch_groups.values():
-        target = Wv[ch] / Wv[nodes, None] - 1.0 - dRet[ch, 0]
-        D = dRet[ch, 1:] - dRet[ch, :1]
-        if dim == 2:
-            # one stock: the pseudo-inverse of a column is its transpose over
-            # its square length, and a column of zeros takes no position
-            d = D[:, :, 0]
-            length = (d * d).sum(axis=1)
-            sol = ((d * target).sum(axis=1) / np.where(length > 0.0, length, 1.0))[:, None]
-        else:
-            sol = (np.linalg.pinv(D) @ target[:, :, None])[:, :, 0]
-        resid = (D @ sol[:, :, None])[:, :, 0] - target
-        limit = 1e-8 * np.maximum(1.0, np.max(np.abs(target), axis=1))
-        off_span.extend(nodes[np.max(np.abs(resid), axis=1) > limit].tolist())
-        steps[nodes, 1:] = sol
-        steps[nodes, 0] = 1.0 - sol.sum(axis=1)
-    if off_span:
+    growth = np.zeros(tree.n_nodes)
+    growth[1:] = Wv[1:] / Wv[tree.parent[1:]] - 1.0 - dRet[1:, 0]
+    sol, resid = fit_steps(tree, dRet[:, 1:] - dRet[:, :1], growth)
+    off_span = np.flatnonzero(resid > 1e-8)
+    if off_span.size:
         raise InvariantViolationError(
-            f"wealth increments leave the traded span at node {min(off_span)}"
+            f"wealth increments leave the traded span at node {off_span[0]}"
         )
-    return PredictableProcess.from_steps(tree, steps)
+    return PredictableProcess.from_steps(tree, np.column_stack([1.0 - sol.sum(axis=1), sol]))
+
+
+def fit_steps(tree: EventTree, D: np.ndarray, target: np.ndarray):
+    """Per node n, the minimum-norm least-squares x_n of D[c] @ x_n =
+    target[c] over n's children c (row c of D and target belongs to the
+    step into c), and its largest residual relative to max(1, largest
+    |target[c]|), which each caller judges against its own tolerance."""
+    sol = np.zeros((tree.n_nodes, D.shape[1]))
+    resid = np.zeros(tree.n_nodes)
+    for nodes, ch in tree.branch_groups.values():
+        A, b = D[ch], target[ch]
+        if A.shape[2] == 1:
+            # one column: its pseudo-inverse is its transpose over its
+            # square length, and a column of zeros fits nothing
+            a = A[:, :, 0]
+            length = (a * a).sum(axis=1)
+            x = ((a * b).sum(axis=1) / np.where(length > 0.0, length, 1.0))[:, None]
+        else:
+            x = (np.linalg.pinv(A) @ b[:, :, None])[:, :, 0]
+        sol[nodes] = x
+        miss = np.max(np.abs((A @ x[:, :, None])[:, :, 0] - b), axis=1)
+        resid[nodes] = miss / np.maximum(1.0, np.max(np.abs(b), axis=1))
+    return sol, resid
 
 
 def solve_dual(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
@@ -478,23 +485,19 @@ class DeflatorReport:
 
 def verify_deflator(m: MarketModel, eps: float, Y: AdaptedProcess) -> DeflatorReport:
     """One-step supermartingale inequalities for Y and for Y times each
-    perturbed asset price; returns the largest (relative) violation."""
+    perturbed asset price; returns the largest (relative) violation and
+    the first node where it occurs."""
     if np.any(Y.values < 0.0):
         raise ContractViolationError("a deflator must be nonnegative")
     tree = m.tree
     S = perturbed_prices(m, eps).values
     Yv = Y.values
-    worst, worst_node = 0.0, -1
-    checks = 0
-    for node in tree.internal_nodes:
-        ch = tree.children[node]
-        w = tree.prob[ch]
-        tests = [(float(w @ Yv[ch]), Yv[node])]
-        for i in range(S.shape[1]):
-            tests.append((float(w @ (Yv[ch] * S[ch, i])), Yv[node] * S[node, i]))
-        for lhs, rhs in tests:
-            checks += 1
-            excess = (lhs - rhs) / max(1.0, abs(rhs))
-            if excess > worst:
-                worst, worst_node = excess, int(node)
-    return DeflatorReport(max_violation=worst, worst_node=worst_node, checks=checks)
+    deflated = np.column_stack([Yv, Yv[:, None] * S])
+    nodes = tree.internal_nodes
+    expected = tree.sibling_sum(tree.prob[:, None] * deflated)[nodes]
+    now = deflated[nodes]
+    excess = np.max((expected - now) / np.maximum(1.0, np.abs(now)), axis=1, initial=0.0)
+    worst = float(np.max(excess, initial=0.0))
+    return DeflatorReport(max_violation=worst,
+                          worst_node=int(nodes[np.argmax(excess)]) if worst > 0.0 else -1,
+                          checks=now.size)

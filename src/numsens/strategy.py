@@ -10,6 +10,11 @@ function to second order.  The level-selection rule is a computable
 instantiation of an existential construction: it measures residual
 envelopes on a dyadic probe ladder and grows the level like the inverse
 perturbation radius.
+
+Each step is a stacked pass over the tree: the characteristics are sibling
+sums, the representation is the per-node minimum-norm step fit the solver's
+proportions use too (`solver.fit_steps`), and truncation freezes a process
+below the first flagged node of each path with a running minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import AdmissibilityError, ContractViolationError, NumericalError, 
 from .market import MarketModel
 from .preferences import Utility
 from .sensitivity import ExpansionReport, expansion_report
-from .solver import AttainableSpace, Optimum, solve_pair, solve_primal
+from .solver import AttainableSpace, Optimum, fit_steps, solve_pair, solve_primal
 from .tree import AdaptedProcess, PredictableProcess, stochastic_exponential, stochastic_integral
 
 _REPR_TOL = 1e-10
@@ -42,27 +47,26 @@ class Characteristics:
 
     B: AdaptedProcess                       # predictable finite-variation part
     C: AdaptedProcess                       # identically zero
-    jump_compensator: dict = field(repr=False)   # node -> (child probs, jumps (k, d+1))
+    # node-indexed (probabilities, jumps (n_nodes, d+1)): the compensator
+    # puts mass prob[n] on the jump into node n, given its parent
+    jump_compensator: tuple = field(repr=False)
+
+
+def _small_jump_drift(tree, prob, jumps) -> np.ndarray:
+    """Per node, the conditional mean of the next jump truncated at norm 1,
+    under the child probabilities `prob` (node-indexed)."""
+    small = np.linalg.norm(jumps, axis=1) <= 1.0
+    return tree.sibling_sum((prob * small)[:, None] * jumps)
 
 
 def characteristics(m: MarketModel) -> Characteristics:
     tree = m.tree
     dR = m.returns.increments()
-    dim = m.d + 1
-    Bvals = np.zeros((tree.n_nodes, dim))
-    comp = {}
-    for node in tree.internal_nodes:
-        ch = tree.children[node]
-        w = tree.prob[ch]
-        jumps = dR[ch]
-        small = np.linalg.norm(jumps, axis=1) <= 1.0
-        dB = w[small] @ jumps[small] if np.any(small) else np.zeros(dim)
-        comp[int(node)] = (w.copy(), jumps.copy())
-        Bvals[ch] = Bvals[node] + dB
+    drift = PredictableProcess.from_steps(tree, _small_jump_drift(tree, tree.prob, dR))
     return Characteristics(
-        B=AdaptedProcess(tree, Bvals),
+        B=AdaptedProcess(tree, tree.cumulate(drift.values, 0.0)),
         C=AdaptedProcess(tree, np.zeros(tree.n_nodes)),
-        jump_compensator=comp,
+        jump_compensator=(tree.prob.copy(), dR.copy()),
     )
 
 
@@ -72,21 +76,11 @@ def reassemble_returns(m: MarketModel, ch: Characteristics) -> AdaptedProcess:
     stored compensator, so this exercises B and nu independently)."""
     tree = m.tree
     dR = m.returns.increments()
-    dim = m.d + 1
-    vals = np.zeros((tree.n_nodes, dim))
-    dB = ch.B.increments()
-    for node in tree.internal_nodes:
-        w, jumps = ch.jump_compensator[int(node)]
-        norms = np.linalg.norm(jumps, axis=1)
-        small = norms <= 1.0
-        compensator = w[small] @ jumps[small] if np.any(small) else np.zeros(dim)
-        for r, c in enumerate(tree.children[node]):
-            j = dR[c]
-            nj = np.linalg.norm(j)
-            small_part = j if nj <= 1.0 else np.zeros(dim)
-            large_part = j if nj > 1.0 else np.zeros(dim)
-            vals[c] = vals[node] + dB[c] + (small_part - compensator) + large_part
-    return AdaptedProcess(tree, vals)
+    compensator = PredictableProcess.from_steps(tree, _small_jump_drift(tree, *ch.jump_compensator))
+    small = (np.linalg.norm(dR, axis=1) <= 1.0)[:, None]
+    inc = (ch.B.increments() + (np.where(small, dR, 0.0) - compensator.values)
+           + np.where(small, 0.0, dR))
+    return AdaptedProcess(tree, tree.cumulate(inc, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -133,32 +127,24 @@ class IntegrandRepresentation:
 def represent_martingale(M: AdaptedProcess, m: MarketModel,
                          pi_hat: PredictableProcess) -> IntegrandRepresentation:
     """Predictable integrand gamma with (gamma against the pi_hat-discounted
-    returns) equal to M, solved node by node across siblings; raises when an
-    increment leaves the traded span."""
+    returns) equal to M, fitted across siblings at every node; raises when
+    an increment leaves the traded span.  The residual is relative to
+    max(1, largest increment) at its node."""
     if M.values.ndim != 1 or M.values[0] != 0.0:
         raise ContractViolationError("representation target must be scalar and start at 0")
     tree = m.tree
-    Rpi = discount_direction(m, pi_hat)
-    dRpi = Rpi.increments()
-    dM = M.increments()
-    steps = np.zeros((tree.n_nodes, m.d + 1))
-    worst = 0.0
-    for node in tree.internal_nodes:
-        chn = tree.children[node]
-        D = dRpi[chn, 1:]
-        target = dM[chn]
-        sol, *_ = np.linalg.lstsq(D, target, rcond=None)
-        resid = float(np.max(np.abs(D @ sol - target)))
-        scale = max(1.0, float(np.max(np.abs(target))))
-        if resid > _REPR_TOL * scale:
-            raise RepresentationError(
-                f"martingale increment at node {node} is not attainable "
-                f"(residual {resid:.3e})"
-            )
-        worst = max(worst, resid)
-        steps[node, 1:] = sol
-    gamma = PredictableProcess.from_steps(tree, steps)
-    return IntegrandRepresentation(gamma=gamma, max_residual=worst)
+    dRpi = discount_direction(m, pi_hat).increments()
+    sol, resid = fit_steps(tree, dRpi[:, 1:], M.increments())
+    off_span = np.flatnonzero(resid > _REPR_TOL)
+    if off_span.size:
+        node = off_span[0]
+        raise RepresentationError(
+            f"martingale increment at node {node} is not attainable "
+            f"(residual {resid[node]:.3e})"
+        )
+    steps = np.column_stack([np.zeros(tree.n_nodes), sol])
+    return IntegrandRepresentation(gamma=PredictableProcess.from_steps(tree, steps),
+                                   max_residual=float(np.max(resid)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,46 +173,26 @@ def truncate_localize(M: AdaptedProcess, n: int) -> TruncationResult:
     if vals.ndim != 1 or vals[0] != 0.0:
         raise ContractViolationError("truncation target must be scalar and start at 0")
 
-    stage1 = vals.copy()
-    alive = np.ones(tree.n_nodes, dtype=bool)
-    vstops = []
-    for node in tree.internal_nodes:
-        if not alive[node]:
-            for c in tree.children[node]:
-                alive[c] = False
-                stage1[c] = stage1[node]
-            continue
-        ch = tree.children[node]
-        if np.max(np.abs(vals[ch])) > n:
-            vstops.append(int(node))
-            for c in ch:
-                alive[c] = False
-                stage1[c] = stage1[node]
-        else:
-            for c in ch:
-                stage1[c] = vals[c]
-
-    out = stage1.copy()
-    qv = np.zeros(tree.n_nodes)
-    running = np.ones(tree.n_nodes, dtype=bool)
-    qstops = []
-    for node in tree.internal_nodes:
-        if not running[node]:
-            for c in tree.children[node]:
-                running[c] = False
-                out[c] = out[node]
-            continue
-        for c in tree.children[node]:
-            out[c] = stage1[c]
-            qv[c] = qv[node] + (stage1[c] - stage1[node]) ** 2
-            if qv[c] >= n:
-                running[c] = False
-                qstops.append(int(c))
-    proc = AdaptedProcess(tree, out)
-    return TruncationResult(process=proc,
+    # stage 1: freeze from every node one of whose children would exceed n
+    stage1, vstops = _freeze(tree, vals, tree.sibling_sum(np.abs(vals) > n) > 0.0)
+    # stage 2: freeze from the first node where the running quadratic
+    # variation reaches n
+    qv = tree.cumulate(AdaptedProcess(tree, stage1).increments() ** 2, 0.0)
+    out, qstops = _freeze(tree, stage1, qv >= n)
+    return TruncationResult(process=AdaptedProcess(tree, out),
                             saturated=bool(np.array_equal(out, vals)),
-                            value_stop_nodes=tuple(vstops),
-                            qv_stop_nodes=tuple(qstops))
+                            value_stop_nodes=vstops, qv_stop_nodes=qstops)
+
+
+def _freeze(tree, values, flag):
+    """values held constant below the first node of each path where flag
+    holds, and those first nodes in ascending order.  Node ids grow along
+    every path, so the first flagged node is a running minimum."""
+    ids = np.arange(tree.n_nodes)
+    first = tree.cumulate(np.where(flag, ids, tree.n_nodes), 0 if flag[0] else tree.n_nodes,
+                          np.minimum)
+    first = np.minimum(first, ids).astype(np.int64)
+    return values[first], tuple(np.flatnonzero(flag & (first == ids)).tolist())
 
 
 # ---------------------------------------------------------------------------

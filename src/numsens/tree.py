@@ -9,7 +9,10 @@ Conventions (exact on finite filtrations):
 
 Nodes are numbered breadth-first (root = 0, then level by level in the
 order branches were declared), so every parent index is smaller than its
-children and reports are bit-reproducible.
+children and reports are bit-reproducible.  Computations run on whole node
+arrays, not node by node: `EventTree.cumulate` passes down from the root,
+`aggregate` up from the leaves and `sibling_sum` one level up, and per-node
+linear algebra is stacked over `branch_groups` or over a `BlockPlan`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class EventTree:
     """Finite filtered probability space: a rooted tree with transition
     probabilities, all leaves at the same depth."""
 
-    def __init__(self, parent, prob, time=None):
+    def __init__(self, parent, prob):
         parent = np.asarray(parent, dtype=np.int64)
         prob = np.asarray(prob, dtype=float)
         n = parent.shape[0]
@@ -46,17 +49,17 @@ class EventTree:
 
         self.parent = parent
         self.n_nodes = n
-        if time is None:
-            time = np.zeros(n, dtype=np.int64)
-            for i in range(1, n):
-                time[i] = time[parent[i]] + 1
-        self.time = np.asarray(time, dtype=np.int64)
-        if np.any(np.diff(self.time) < 0):
-            raise ContractViolationError("node order must be breadth-first in time")
+        # parents are sorted, so level t + 1 is the run of nodes whose
+        # parents lie in level t
+        bounds = [0, 1]
+        while bounds[-1] < n:
+            bounds.append(int(np.searchsorted(parent, bounds[-1])))
+        self.levels = np.split(np.arange(n), bounds[1:-1])
+        self.time = np.repeat(np.arange(len(self.levels)), np.diff(bounds))
+        self.steps = len(self.levels) - 1
 
         n_children = np.bincount(parent[1:], minlength=n)
         self.children = np.split(np.arange(1, n), np.cumsum(n_children)[:-1])
-        self.steps = int(self.time.max())
         self.leaves = np.flatnonzero(n_children == 0)
         self.internal_nodes = np.flatnonzero(n_children > 0)
         # siblings are consecutive: node n's children are first_child[n] + range(n_children[n])
@@ -69,8 +72,6 @@ class EventTree:
             self.branch_groups[int(k)] = (nodes, self.first_child[nodes, None] + np.arange(k))
         if np.any(self.time[self.leaves] != self.steps):
             raise ContractViolationError("every root-to-leaf path must have the same length")
-        self.levels = np.split(np.arange(n),
-                               np.searchsorted(self.time, np.arange(1, self.steps + 1)))
         self.ancestors = np.empty((len(self.leaves), self.steps + 1), dtype=np.int64)
         self.ancestors[:, -1] = self.leaves
         for t in range(self.steps - 1, -1, -1):
@@ -80,14 +81,13 @@ class EventTree:
         # within PROB_TOL of summing to one
         self.prob = prob.copy()
         self.prob[0] = 1.0
-        for node in self.internal_nodes:
-            c = self.children[node]
-            s = self.prob[c].sum()
-            if abs(s - 1.0) > PROB_TOL:
-                raise ContractViolationError(
-                    f"child probabilities at node {node} sum to {s!r}, not 1"
-                )
-            self.prob[c] /= s
+        total = self.sibling_sum(self.prob)
+        off = self.internal_nodes[np.abs(total[self.internal_nodes] - 1.0) > PROB_TOL]
+        if off.size:
+            raise ContractViolationError(
+                f"child probabilities at node {off[0]} sum to {total[off[0]]!r}, not 1"
+            )
+        self.prob[1:] /= total[parent[1:]]
 
         self.path_prob = self.cumulate(self.prob, 1.0, np.multiply)
         if abs(self.path_prob[self.leaves].sum() - 1.0) > PROB_TOL:
@@ -127,6 +127,15 @@ class EventTree:
             np.add.at(out, self.parent[nodes], out[nodes])
         return out
 
+    def sibling_sum(self, child_values) -> np.ndarray:
+        """One level up: each node's sum of child_values over its children,
+        added in node order (zero at the leaves; row 0 is ignored).  Works
+        row-wise on (n_nodes, dim) arrays."""
+        child_values = np.asarray(child_values, dtype=float)
+        out = np.zeros_like(child_values)
+        np.add.at(out, self.parent[1:], child_values[1:])
+        return out
+
     # -- measure helpers -------------------------------------------------
 
     def node_mass(self, leaf_weights) -> np.ndarray:
@@ -151,12 +160,10 @@ class EventTree:
         """max_n |E[ΔZ | n]| for a node-indexed scalar process."""
         values = np.asarray(values, dtype=float)
         mass = self.node_mass(leaf_weights)
-        worst = 0.0
-        for node in self.internal_nodes:
-            c = self.children[node]
-            w = mass[c] / mass[node]
-            worst = max(worst, abs(float(w @ values[c]) - values[node]))
-        return worst
+        w = np.zeros(self.n_nodes)
+        w[1:] = mass[1:] / mass[self.parent[1:]]
+        drift = self.sibling_sum(w * values) - values
+        return float(np.max(np.abs(drift[self.internal_nodes]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +353,6 @@ def payoff_matrix(tree: EventTree, blocks, n_cols: int) -> np.ndarray:
     return M
 
 
-def process_from_coefficients(tree: EventTree, blocks, coeffs, start=0.0) -> np.ndarray:
-    """Node values of start plus the blocks' increments weighted by coeffs;
-    its leaf values are start + payoff_matrix(tree, blocks, len(coeffs)) @ coeffs."""
-    inc = np.zeros(tree.n_nodes)
-    for node, col, V in blocks:
-        inc[tree.children[node]] = V @ coeffs[col:col + V.shape[1]]
-    return tree.cumulate(inc, start)
-
-
 class BlockPlan:
     """A span's per-node blocks stacked for the elimination kernel.
 
@@ -387,6 +385,16 @@ class BlockPlan:
                 at = np.flatnonzero(branches == kk)
                 V[at, :kk] = np.stack([members[i][2] for i in at.tolist()])
             self.groups.append((nodes, children, cols, V))
+
+    def process(self, coeffs, start=0.0) -> np.ndarray:
+        """Node values of start plus the blocks' increments weighted by
+        coeffs, down from the root; its leaf values are
+        start + payoff_matrix(tree, blocks, n_cols) @ coeffs."""
+        inc = np.zeros(self.tree.n_nodes + 1)
+        for _nodes, children, cols, V in self.groups:
+            if cols.shape[1]:
+                inc[children] = (V @ coeffs[cols][:, :, None])[:, :, 0]
+        return self.tree.cumulate(inc[:-1], start)
 
     def gradient(self, leaf_values) -> np.ndarray:
         """W.T @ leaf_values for the span's payoff matrix W: each coefficient

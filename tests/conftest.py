@@ -10,7 +10,9 @@ from numsens.instances import (
     t1_market,
     two_period_trinomial_market,
 )
+from numsens.market import MarketModel
 from numsens.preferences import log_utility, mixture_utility, power_utility
+from numsens.tree import AdaptedProcess, EventTree, PredictableProcess
 
 
 @pytest.fixture
@@ -60,6 +62,39 @@ def make_random_tree(seed, depth=2, max_branches=3):
 
 def make_random_one_period(seed, max_branches=4):
     return random_one_period_market(np.random.default_rng(seed), max_branches=max_branches)
+
+
+def make_mixed_tree(seed, max_depth=4):
+    """Breadth-first tree with 1 to 3 children per node (single-child nodes
+    included) and random transition probabilities."""
+    rng = np.random.default_rng(seed)
+    parent, prob, level = [-1], [1.0], [0]
+    for _ in range(int(rng.integers(1, max_depth + 1))):
+        nxt = []
+        for node in level:
+            w = rng.uniform(0.1, 1.0, int(rng.integers(1, 4)))
+            for q in w / w.sum():
+                parent.append(node)
+                prob.append(float(q))
+                nxt.append(len(parent) - 1)
+        level = nxt
+    return EventTree(parent, prob)
+
+
+def make_mixed_market(seed, d=1, max_depth=3):
+    """d stocks on make_mixed_tree(seed): random one-step returns, about a
+    fifth of them beyond the unit truncation, and random proportions theta.
+    Not arbitrage-free; for the tree passes, not for solves."""
+    tree = make_mixed_tree(seed, max_depth)
+    rng = np.random.default_rng(seed)
+    n = tree.n_nodes
+    inc = np.zeros((n, d + 1))
+    inc[1:, 1:] = rng.uniform(-0.6, 0.6, (n - 1, d)) * np.where(rng.random((n - 1, d)) < 0.2, 3.0, 1.0)
+    steps = np.zeros((n, d + 1))
+    steps[:, 1:] = rng.uniform(-1.0, 1.0, (n, d))
+    steps[:, 0] = 1.0 - steps[:, 1:].sum(axis=1)
+    return MarketModel(tree, AdaptedProcess.from_increments(tree, inc),
+                       PredictableProcess.from_steps(tree, steps))
 
 
 # ---------------------------------------------------------------------------

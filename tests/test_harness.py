@@ -22,6 +22,7 @@ from numsens.harness import (
 from numsens.errors import ContractViolationError
 from numsens.market import save_market
 from numsens.preferences import log_utility, mixture_utility
+from numsens.tree import AdaptedProcess
 
 
 def test_campaign_validates_grid(t1, logu):
@@ -67,6 +68,24 @@ def test_strategy_campaign_wealth_shift_only(twop, mix):
 def test_solve_and_risktol_reports(t1, logu):
     assert solve_report(t1, logu, 1.0, 0.25).all_passed
     assert risk_tolerance_report(t1, logu, 1.0).all_passed
+
+
+def test_failing_deflator_check_names_its_node_and_limit(twop, logu):
+    pair = solver.solve_pair(twop, logu, 1.0, 0.0)
+
+    def deflator_check(optimum):
+        rep = solve_report(twop, logu, 1.0, optimum=optimum)
+        return next(c for c in rep.checks if c.name == "deflator-supermartingale")
+
+    passing = deflator_check(pair)
+    assert passing.passed and passing.note == "12 one-step inequalities"
+    # raising the deflator on node 2's children breaks the inequality there only
+    Y = pair.dual.deflator.values.copy()
+    Y[twop.tree.children[2]] *= 1.001
+    dual = dataclasses.replace(pair.dual, deflator=AdaptedProcess(twop.tree, Y))
+    failing = deflator_check(dataclasses.replace(pair, dual=dual))
+    assert not failing.passed and failing.computed > 1e-10
+    assert failing.note == "12 one-step inequalities; worst at node 2, allowed 1e-10"
 
 
 def test_counterexample_unbounded_jumps_hand_value():

@@ -31,7 +31,7 @@ def test_basis_martingale_and_orthogonality(twop, mix):
     tree = basis.tree
     # every basis element has zero conditional mean and the cross Gram vanishes
     for nv in basis.primal_nodes + basis.dual_nodes:
-        w = basis.child_weights[nv.node]
+        w = basis.child_weights[tree.children[nv.node]]
         assert np.max(np.abs(w @ nv.vectors)) < 1e-12
     gram = (basis.Phi * r[:, None]).T @ basis.Psi
     assert np.max(np.abs(gram)) < 1e-12

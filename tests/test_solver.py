@@ -23,6 +23,7 @@ from numsens.solver import (
 from numsens.tree import AdaptedProcess, EventTree, PredictableProcess
 
 from conftest import make_random_one_period, make_random_tree, one_period_grid_value
+from reference_loops import naive_proportions
 
 
 def test_t1_log_base_solution(t1, logu):
@@ -215,26 +216,13 @@ def test_solution_strategies_regenerate_wealth(twop, mix):
     assert np.max(np.abs(pert - sol.wealth.values) / sol.wealth.values) <= 1e-11
 
 
-def _proportions_by_node(tree, wealth, returns):
-    """The per-node reference: a minimum-norm lstsq at every internal node."""
-    dRet = returns.increments()
-    Wv = wealth.values
-    steps = np.zeros((tree.n_nodes, returns.values.shape[1]))
-    for node in tree.internal_nodes:
-        ch = tree.children[node]
-        D = dRet[ch, 1:] - dRet[ch, :1]
-        sol = np.linalg.lstsq(D, Wv[ch] / Wv[node] - 1.0 - dRet[ch, 0], rcond=None)[0]
-        steps[node, 1:] = sol
-        steps[node, 0] = 1.0 - sol.sum()
-    return PredictableProcess.from_steps(tree, steps).values
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_stacked_proportions_match_the_per_node_fit(seed, logu):
     for m in (make_random_tree(seed, depth=3), two_asset_market(depth=2)):
         sol = solve_primal(m, logu, 1.0, 0.05)
         got = solver._proportions_from_wealth(m.tree, sol.zwealth, m.returns).values
-        want = _proportions_by_node(m.tree, sol.zwealth, m.returns)
+        want = PredictableProcess.from_steps(
+            m.tree, naive_proportions(m.tree, sol.zwealth, m.returns)).values
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 

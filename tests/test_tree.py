@@ -13,13 +13,13 @@ from numsens.tree import (
     BlockPlan,
     EventTree,
     PredictableProcess,
-    process_from_coefficients,
     quadratic_covariation,
     stochastic_exponential,
     stochastic_integral,
 )
 
-from conftest import make_random_tree
+from conftest import make_mixed_tree, make_random_tree
+from reference_loops import naive_process_from_coefficients
 
 
 def trinomial_tree():
@@ -81,7 +81,7 @@ def test_sibling_check_names_first_offending_parent():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([None, 1, 3]))
 def test_from_steps_step_value_round_trip(seed, dim):
-    tree = random_tree(seed)
+    tree = make_mixed_tree(seed)
     rng = np.random.default_rng(seed)
     steps = rng.normal(size=(tree.n_nodes,) if dim is None else (tree.n_nodes, dim))
     p = PredictableProcess.from_steps(tree, steps)
@@ -199,23 +199,6 @@ def test_conditional_expectation_and_defect():
 # ---------------------------------------------------------------------------
 
 
-def random_tree(seed, max_depth=4):
-    """Breadth-first tree with 1 to 3 children per node (single-child nodes
-    included) and random transition probabilities."""
-    rng = np.random.default_rng(seed)
-    parent, prob, level = [-1], [1.0], [0]
-    for _ in range(int(rng.integers(1, max_depth + 1))):
-        nxt = []
-        for node in level:
-            w = rng.uniform(0.1, 1.0, int(rng.integers(1, 4)))
-            for q in w / w.sum():
-                parent.append(node)
-                prob.append(float(q))
-                nxt.append(len(parent) - 1)
-        level = nxt
-    return EventTree(parent, prob)
-
-
 def naive_cumulate(tree, inc, start, op):
     out = np.empty_like(inc)
     out[0] = start
@@ -234,7 +217,7 @@ def naive_aggregate(tree, values):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([None, 1, 3]))
 def test_passes_match_naive_loops(seed, dim):
-    tree = random_tree(seed)
+    tree = make_mixed_tree(seed)
     rng = np.random.default_rng(seed)
     shape = (tree.n_nodes,) if dim is None else (tree.n_nodes, dim)
     inc = rng.normal(size=shape)
@@ -249,7 +232,7 @@ def test_passes_match_naive_loops(seed, dim):
 
 
 def test_ancestors_and_levels():
-    tree = random_tree(11)
+    tree = make_mixed_tree(11)
     for j, leaf in enumerate(tree.leaves):
         node = leaf
         for t in range(tree.steps, -1, -1):
@@ -275,7 +258,7 @@ def naive_payoff_matrix(tree, blocks, n_cols):
 
 def _check_blocks(tree, blocks, M, coeffs):
     assert np.array_equal(M, naive_payoff_matrix(tree, blocks, M.shape[1]))
-    path = process_from_coefficients(tree, blocks, coeffs, 0.5)
+    path = naive_process_from_coefficients(tree, blocks, coeffs, 0.5)
     assert np.max(np.abs(0.5 + M @ coeffs - path[tree.leaves])) <= 1e-12
 
 
@@ -287,12 +270,14 @@ def test_payoff_matrix_matches_coefficient_process_attainable(seed):
         space = attainable_space(m)
         c = rng.normal(size=space.dim)
         _check_blocks(m.tree, space.blocks, space.W, c)
+        assert np.array_equal(space.plan.process(c, 0.5),
+                              naive_process_from_coefficients(m.tree, space.blocks, c, 0.5))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_payoff_matrix_matches_coefficient_process_bases(seed, dim):
-    tree = random_tree(seed)
+    tree = make_mixed_tree(seed)
     rng = np.random.default_rng(seed)
     basis = orthogonal_spans(tree, rng.normal(size=(tree.n_nodes, dim)),
                              rng.uniform(0.5, 1.5) * tree.leaf_prob)
@@ -300,7 +285,7 @@ def test_payoff_matrix_matches_coefficient_process_bases(seed, dim):
         c = rng.normal(size=M.shape[1])
         _check_blocks(tree, basis.blocks(side), M, c)
         assert np.array_equal(basis.expand_process(side, c),
-                              process_from_coefficients(tree, basis.blocks(side), c))
+                              naive_process_from_coefficients(tree, basis.blocks(side), c))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +350,7 @@ def _elimination_case(seed, kind):
     if kind == "two-asset":
         m = two_asset_market(depth=2)
         return m.tree, attainable_space(m).blocks, rng
-    tree = random_tree(seed)
+    tree = make_mixed_tree(seed)
     return tree, random_blocks(tree, rng), rng
 
 
@@ -409,8 +394,7 @@ def test_elimination_matches_dense_oracle(seed, kind, spread, free_start):
     assert abs(weights @ (got - target) ** 2 - weights @ (want - target) ** 2) \
         <= 1e-12 * objective_scale
     # the node values are the process the coefficients generate
-    assert np.max(np.abs(values - process_from_coefficients(
-        tree, blocks, coeffs, values[0]))) <= 1e-12 * scale
+    assert np.max(np.abs(values - plan.process(coeffs, values[0]))) <= 1e-12 * scale
     g = rng.normal(size=L)
     W = naive_payoff_matrix(tree, blocks, plan.n_cols)
     assert np.max(np.abs(plan.gradient(g) - W.T @ g), initial=0.0) \
