@@ -38,14 +38,11 @@ from .solver import (
     verify_deflator,
 )
 from .strategy import (
-    build_strategy_kit,
+    StrategyKit,
     characteristics,
     discount_direction,
     drift_perturbation_theta,
-    nearly_optimal_wealth,
-    proportions,
     represent_martingale,
-    select_n,
     truncate_localize,
 )
 from .tree import (

@@ -21,6 +21,7 @@ from .harness import (
     solve_report,
     verify_all,
 )
+from .solver import solve_pair
 from .market import load_market
 from .preferences import log_utility
 
@@ -115,7 +116,7 @@ def _dispatch(args) -> int:
         if utility is None:
             utility = log_utility()
         if args.command == "solve":
-            report = solve_report(model, utility, args.x, args.eps)
+            report = solve_report(solve_pair(model, utility, args.x, args.eps))
         elif args.command == "expand":
             report = run_expansion_campaign(_campaign_from_args(args, model, utility))
         elif args.command == "strategy":

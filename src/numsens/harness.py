@@ -17,6 +17,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -33,17 +34,9 @@ from .market import (
 from .preferences import Utility, log_utility, power_utility
 from .risktol import gkw_decompose, hessian_from_gkw, recovery_residual, risk_tolerance
 from .sensitivity import ExpansionReport, aux_relation_report, expansion_report
-from .solver import (
-    AttainableSpace,
-    Optimum,
-    attainable_space,
-    solve_dual,
-    solve_pair,
-    solve_primal,
-    verify_deflator,
-)
+from .solver import Optimum, solve_dual, solve_pair, solve_primal, verify_deflator
 from .strategy import (
-    build_strategy_kit,
+    StrategyKit,
     characteristics,
     discount_direction,
     perturbed_return_direction,
@@ -83,6 +76,11 @@ class Check:
 
 @dataclass
 class Report:
+    """Checks plus metadata.  A metadata value may be a zero-argument
+    callable (the model digest, a JSON dump of the whole market), evaluated
+    only when text is emitted; `extend` keeps the receiver's entries, so a
+    report tree evaluates each key once."""
+
     title: str
     metadata: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
@@ -114,6 +112,7 @@ class Report:
         meta = sorted(self.metadata.items())
         for i, (k, v) in enumerate(meta):
             comma = "," if i + 1 < len(meta) else ""
+            v = v() if callable(v) else v
             if isinstance(v, str):
                 lines.append(f'    "{k}": "{v}"{comma}')
             else:
@@ -176,7 +175,6 @@ class Campaign:
     # radius; 1.8 is the same slack the optimizer-derivative decay uses
     expansion_decay: float = 1.8
     strategy_decay: float = 2.0
-    checks: tuple = ("expansion", "strategy")
 
     def __post_init__(self):
         if len(self.dx_grid) != len(self.eps_grid):
@@ -198,10 +196,11 @@ def dyadic_campaign(model, utility, x, k_range=range(3, 9), direction=(1.0, 1.0)
     return Campaign(model=model, utility=utility, x=x, dx_grid=dxs, eps_grid=eps, **kw)
 
 
-def _decay_check(report, name, anchor, residuals, factor, floor, note=""):
+def _decay_check(report, name, anchor, residuals, factor, floor):
     """Residuals must shrink by `factor` per radius halving until below the
-    floor; pairs already at the floor are exempt."""
-    worst = math.inf
+    floor; pairs already at the floor are exempt.  A failing note names the
+    grid points of the worst ratio."""
+    worst, worst_k = math.inf, -1
     tested = 0
     for k in range(len(residuals) - 1):
         a, b = abs(residuals[k]), abs(residuals[k + 1])
@@ -210,54 +209,35 @@ def _decay_check(report, name, anchor, residuals, factor, floor, note=""):
         if b <= floor:
             break
         tested += 1
-        worst = min(worst, a / b)
+        if a / b < worst:
+            worst, worst_k = a / b, k
     passed = tested == 0 or worst >= factor
+    note = f"{tested} ratio(s) above floor {floor:g}"
+    if not passed:
+        note += f"; worst between points {worst_k} and {worst_k + 1}, allowed {factor:g}"
     report.add(name, anchor, worst if tested else math.inf, factor,
-               0.0 if passed else factor - worst, passed,
-               note or f"{tested} ratio(s) above floor {floor:g}")
+               0.0 if passed else factor - worst, passed, note)
 
 
-def run_campaign(c: Campaign) -> Report:
-    """Dispatch the campaign's selected checks into one report; the base
-    space, optimum and expansion are computed once and shared."""
-    rep = Report(title="campaign")
-    if not {"expansion", "strategy"} & set(c.checks):
-        return rep
-    m, u, x = c.model, c.utility, c.x
-    space = attainable_space(m)
-    opt = solve_pair(m, u, x, 0.0, space=space)
-    base = {"space": space, "optimum": opt, "expansion": expansion_report(m, u, x, optimum=opt)}
-    if "expansion" in c.checks:
-        rep.extend(run_expansion_campaign(c, **base))
-    if "strategy" in c.checks:
-        rep.extend(run_strategy_campaign(c, **base))
-    return rep
-
-
-def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
-                           optimum: Optimum = None,
-                           expansion: ExpansionReport = None) -> Report:
+def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
     """Quadratic-expansion verification of both value functions against
-    exact re-solves, plus the first-order (envelope) finite-difference check.
-    The base space, optimum and expansion are computed when not supplied."""
+    exact re-solves, plus the first-order (envelope) finite-difference check,
+    around the base expansion (solved when not supplied)."""
     m, u, x = c.model, c.utility, c.x
     rep = Report(title="expansion-campaign",
-                 metadata={"model": model_digest(m, u), "x": x,
+                 metadata={"model": partial(model_digest, m, u), "x": x,
                            "grid_points": len(c.dx_grid)})
-    if space is None:
-        space = attainable_space(m)
-    opt = optimum if optimum is not None else solve_pair(m, u, x, 0.0, space=space)
-    ex = expansion if expansion is not None else expansion_report(m, u, x, optimum=opt)
+    ex = base if base is not None else expansion_report(m, u, x)
+    opt = ex.optimum
     y = opt.y
     u0, v0 = opt.primal.value, opt.dual.value
 
     # envelope: central differences of the value in the perturbation size
     target = ex.gradient_u[1]
     errs = []
-    base = min(1e-2, 0.25 * m.eps0)
-    for h in (base, base / 10.0, base / 100.0):
-        fd = (solve_primal(m, u, x, h, space=space).value
-              - solve_primal(m, u, x, -h, space=space).value) / (2 * h)
+    h0 = min(1e-2, 0.25 * m.eps0)
+    for h in (h0, h0 / 10.0, h0 / 100.0):
+        fd = (solve_primal(m, u, x, h).value - solve_primal(m, u, x, -h).value) / (2 * h)
         errs.append(abs(fd - target))
     ok = errs[2] <= 1e-7 and all(
         errs[i] / max(errs[i + 1], 1e-16) >= 50.0 or errs[i + 1] <= 1e-12
@@ -268,7 +248,7 @@ def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
     def u_point(pt):
         dx, e = pt
         try:
-            exact = solve_primal(m, u, x + dx, e, space=space).value
+            exact = solve_primal(m, u, x + dx, e).value
         except AdmissibilityError as err:
             return None, str(err)
         return exact, ""
@@ -300,7 +280,7 @@ def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
 
         def primal_at(xx):
             if xx not in solved:
-                solved[xx] = solve_primal(m, u, xx, e, space=space)
+                solved[xx] = solve_primal(m, u, xx, e)
             return solved[xx]
 
         try:
@@ -316,7 +296,7 @@ def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
                     break
                 hi *= 2.0
             xs = x if lo == hi else brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            return solve_dual(m, u, xs, e, primal=primal_at(xs)).value, ""
+            return solve_dual(primal_at(xs)).value, ""
         except AdmissibilityError as err:
             return None, str(err)
 
@@ -350,19 +330,15 @@ def run_expansion_campaign(c: Campaign, *, space: AttainableSpace = None,
     return rep
 
 
-def run_strategy_campaign(c: Campaign, *, space: AttainableSpace = None,
-                          optimum: Optimum = None,
-                          expansion: ExpansionReport = None) -> Report:
+def run_strategy_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
     """Second-order value matching of the constructed wealth processes with
-    automatic level selection, plus proportion round-trip and admissibility.
-    The base space, optimum and expansion are computed when not supplied."""
-    m, u, x = c.model, c.utility, c.x
+    automatic level selection, plus proportion round-trip and admissibility,
+    around the base expansion (solved when not supplied)."""
+    m, x = c.model, c.x
     rep = Report(title="strategy-campaign",
-                 metadata={"model": model_digest(m, u), "x": x,
+                 metadata={"model": partial(model_digest, m, c.utility), "x": x,
                            "grid_points": len(c.dx_grid)})
-    if space is None:
-        space = attainable_space(m)
-    kit = build_strategy_kit(m, u, x, optimum=optimum, expansion=expansion, space=space)
+    kit = StrategyKit(base if base is not None else expansion_report(m, c.utility, x))
 
     residuals, levels = [], []
     for dx, e in zip(c.dx_grid, c.eps_grid):
@@ -392,9 +368,9 @@ def run_strategy_campaign(c: Campaign, *, space: AttainableSpace = None,
     transported = X.values * N.values
     g0, g1, _, _ = kit.level_data(n)
     w = kit.pi_hat.values + dx * g0.values + e * g1.values
-    base = (x + dx) * stochastic_exponential(
+    base_wealth = (x + dx) * stochastic_exponential(
         stochastic_integral(PredictableProcess(m.tree, w), m.returns)).values
-    tr_err = float(np.max(np.abs(transported - base) / np.abs(base)))
+    tr_err = float(np.max(np.abs(transported - base_wealth) / np.abs(base_wealth)))
     rep.add("transport-membership", "admissible-set-transport", tr_err, 0.0, tr_err,
             tr_err <= 1e-10 and bool(np.all(X.values > 0.0)))
     return rep
@@ -405,61 +381,58 @@ def run_strategy_campaign(c: Campaign, *, space: AttainableSpace = None,
 # ---------------------------------------------------------------------------
 
 
-def solve_report(m: MarketModel, utility: Utility, x: float, eps: float = 0.0, *,
-                 optimum: Optimum = None) -> Report:
-    """Checks of the pair solved at (x, eps), or of the supplied optimum
-    solved there."""
+def solve_report(optimum: Optimum) -> Report:
+    """Checks of the pair solved at one (x, eps)."""
+    primal, dual = optimum.primal, optimum.dual
+    m, eps = primal.model, primal.eps
     rep = Report(title="solve",
-                 metadata={"model": model_digest(m, utility), "x": x, "eps": eps})
-    pair = optimum if optimum is not None else solve_pair(m, utility, x, eps)
-    rep.add("primal-value", "expected-utility-optimum", pair.primal.value, math.nan,
-            0.0, True)
-    rep.add("marginal-value", "envelope-marginal", pair.primal.marginal, math.nan, 0.0, True)
-    rep.add("dual-value", "conjugate-optimum", pair.dual.value, math.nan, 0.0, True)
-    rep.add("first-order-conditions", "interior-optimality", pair.primal.foc_residual,
-            0.0, pair.primal.foc_residual, pair.primal.foc_residual <= 1e-10)
-    rep.add("conjugacy-gap", "value-conjugacy", pair.dual.conjugacy_residual, 0.0,
-            pair.dual.conjugacy_residual, pair.dual.conjugacy_residual <= 1e-10)
-    dr = verify_deflator(m, eps, pair.dual.deflator)
+                 metadata={"model": partial(model_digest, m, primal.utility),
+                           "x": primal.x, "eps": eps})
+    rep.add("primal-value", "expected-utility-optimum", primal.value, math.nan, 0.0, True)
+    rep.add("marginal-value", "envelope-marginal", primal.marginal, math.nan, 0.0, True)
+    rep.add("dual-value", "conjugate-optimum", dual.value, math.nan, 0.0, True)
+    rep.add("first-order-conditions", "interior-optimality", primal.foc_residual,
+            0.0, primal.foc_residual, primal.foc_residual <= 1e-10)
+    rep.add("conjugacy-gap", "value-conjugacy", dual.conjugacy_residual, 0.0,
+            dual.conjugacy_residual, dual.conjugacy_residual <= 1e-10)
+    dr = verify_deflator(m, eps, dual.deflator)
     ok = dr.max_violation <= 1e-10
     rep.add("deflator-supermartingale", "dual-domain-membership", dr.max_violation, 0.0,
             dr.max_violation, ok, f"{dr.checks} one-step inequalities"
             + ("" if ok else f"; worst at node {dr.worst_node}, allowed 1e-10"))
     if eps == 0.0:
-        wsum = float(np.sum(pair.r_weights))
+        wsum = float(np.sum(optimum.r_weights))
         rep.add("pricing-weights-total", "pricing-measure", wsum, 1.0,
                 abs(wsum - 1.0), abs(wsum - 1.0) <= 1e-12)
     return rep
 
 
 def risk_tolerance_report(m: MarketModel, utility: Utility, x: float,
-                          tol: float = 1e-8, *, space: AttainableSpace = None,
-                          optimum: Optimum = None,
-                          expansion: ExpansionReport = None) -> Report:
+                          tol: float = 1e-8, *, base: ExpansionReport = None) -> Report:
     """Orthogonal-decomposition cross-check of the mixed second-order
-    coefficients.  The base space, optimum and expansion are computed when
-    not supplied."""
+    coefficients against the base expansion.  Without one, the pair is
+    solved here and the expansion only once the replication succeeds."""
     rep = Report(title="risk-tolerance",
-                 metadata={"model": model_digest(m, utility), "x": x})
-    if space is None:
-        space = attainable_space(m)
-    opt = optimum if optimum is not None else solve_pair(m, utility, x, 0.0, space=space)
-    rt = risk_tolerance(m, utility, x, optimum=opt, space=space)
+                 metadata={"model": partial(model_digest, m, utility), "x": x})
+    opt = base.optimum if base is not None else solve_pair(m, utility, x)
+    rt = risk_tolerance(opt)
     rep.add("replicable", "risk-tolerance-replication", 1.0 if rt.exists else 0.0,
             math.nan, rt.certificate, True,
             f"certificate {_fmt(rt.certificate)}")
     if not rt.exists:
         return rep
     rep.add("initial-capital", "risk-tolerance-replication", rt.initial, math.nan, 0.0, True)
-    ex = expansion if expansion is not None else expansion_report(m, utility, x, optimum=opt)
-    dec = gkw_decompose(m, utility, x, rt, optimum=opt)
-    terms = hessian_from_gkw(dec, m, utility, x, rt, opt, ex.a_xx)
+    ex = base if base is not None else expansion_report(m, utility, x, optimum=opt)
+    dec = gkw_decompose(rt, opt)
+    terms = hessian_from_gkw(dec, rt, ex)
     for name, got, want in (("a-ee", terms.a_ee, ex.a_ee), ("b-ee", terms.b_ee, ex.b_ee),
                             ("a-xe", terms.a_xe, ex.a_xe), ("b-ye", terms.b_ye, ex.b_ye)):
         rep.add(f"gkw-{name}", "decomposition-cross-check", got, want,
                 abs(got - want), abs(got - want) <= tol)
-    rec = recovery_residual(dec, ex, rt)
-    rep.add("gkw-recovery-maps", "decomposition-cross-check", rec, 0.0, rec, rec <= tol)
+    node_rec = recovery_residual(dec, ex, rt)
+    rec = float(np.max(node_rec))
+    rep.add("gkw-recovery-maps", "decomposition-cross-check", rec, 0.0, rec, rec <= tol,
+            "" if rec <= tol else f"worst at node {int(np.argmax(node_rec))}, allowed {tol:g}")
     rep.add("gkw-orthogonality", "decomposition-cross-check",
             dec.orthogonality_defect, 0.0, dec.orthogonality_defect,
             dec.orthogonality_defect <= 1e-12)
@@ -487,7 +460,7 @@ def run_counterexample(which: str, *, eps_list=(0.25, -0.25, 0.5, -0.5, 1.0, -1.
 def _counterexample_unbounded_jumps(eps_list, n_max) -> Report:
     m = three_time_jump_market(n_max)
     rep = Report(title="counterexample-unbounded-jumps",
-                 metadata={"model": model_digest(m), "n_max": n_max})
+                 metadata={"model": partial(model_digest, m), "n_max": n_max})
     # scenario n is the n-th node of date 1; its moves end at date 2
     first, second = m.tree.levels[1:3]
     for eps in eps_list:
@@ -547,7 +520,7 @@ def _counterexample_integrability(depths, p, tail_power, c) -> Report:
 
 
 def calculus_report(m: MarketModel) -> Report:
-    rep = Report(title="calculus-kernel", metadata={"model": model_digest(m)})
+    rep = Report(title="calculus-kernel", metadata={"model": partial(model_digest, m)})
     tree = m.tree
     rbar = m.rbar()
     drive = stochastic_integral(m.theta, m.returns)
@@ -585,17 +558,16 @@ def calculus_report(m: MarketModel) -> Report:
 def verify_all(m: MarketModel, utility: Utility, x: float, *,
                k_range=range(3, 9), n_budget: int = 64) -> Report:
     utility = utility if utility is not None else log_utility()
-    rep = Report(title="verify-all", metadata={"model": model_digest(m, utility), "x": x})
+    rep = Report(title="verify-all",
+                 metadata={"model": partial(model_digest, m, utility), "x": x})
     rep.extend(calculus_report(m))
-    # the base results every sub-report needs, computed once: the space
-    # depends only on (tree, returns), so every re-solve shares it
-    space = attainable_space(m)
-    opt = solve_pair(m, utility, x, 0.0, space=space)
-    rep.extend(solve_report(m, utility, x, 0.0, optimum=opt))
+    # the base every sub-report needs, solved once: the eps = 0 pair and its
+    # expansion (the re-solves share the model's attainable space)
+    opt = solve_pair(m, utility, x)
+    rep.extend(solve_report(opt))
+    base = expansion_report(m, utility, x, optimum=opt)
     camp = dyadic_campaign(m, utility, x, k_range=k_range, n_budget=n_budget)
-    base = {"space": space, "optimum": opt,
-            "expansion": expansion_report(m, utility, x, optimum=opt)}
-    rep.extend(run_expansion_campaign(camp, **base))
-    rep.extend(run_strategy_campaign(camp, **base))
-    rep.extend(risk_tolerance_report(m, utility, x, **base))
+    rep.extend(run_expansion_campaign(camp, base))
+    rep.extend(run_strategy_campaign(camp, base))
+    rep.extend(risk_tolerance_report(m, utility, x, base=base))
     return rep

@@ -10,6 +10,7 @@ against the returns).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -65,6 +66,15 @@ class MarketModel:
     @property
     def d(self) -> int:
         return self.returns.values.shape[1] - 1
+
+    @functools.cached_property
+    def space(self):
+        """Attainable space of the market, built on first access and shared
+        by every solve on this model: it depends only on the tree and the
+        base returns, not on x, eps or the utility."""
+        from . import solver  # local import to avoid a cycle; looked up per call
+
+        return solver.attainable_space(self)
 
     def rbar_increments(self) -> np.ndarray:
         """Jumps of the negated perturbation return, indexed by non-root node."""

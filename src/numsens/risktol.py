@@ -3,8 +3,8 @@ the second-order coefficients.
 
 The target payoff is the reciprocal-risk-aversion-scaled optimal wealth
 (-U'/U'' at the optimum).  Its replication is a dense weighted least-
-squares fit on the payoff matrix `AttainableSpace.W`, built for this fit
-alone, rather than a pass of the tree-elimination kernel: the initial
+squares fit on the payoff matrix `W` of the model's shared attainable
+space (`MarketModel.space`), built for this fit alone, rather than a pass of the tree-elimination kernel: the initial
 capitals in `perfbench/reference.json` carry this fit's rounding, which a
 kernel fit would move by up to 1.6e-12 relative, beyond their gate.
 When the payoff is replicable, discounting by the replicating process and
@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, InvariantViolationError
-from .market import MarketModel, perturbation_statistics
-from .preferences import Utility
+from .market import perturbation_statistics
 from .sensitivity import ExpansionReport, MartingaleBasis, orthogonal_spans
-from .solver import AttainableSpace, Optimum, attainable_space, solve_pair
+from .solver import Optimum
 from .tree import AdaptedProcess
 
 _REPLICATION_TOL = 1e-8
@@ -39,15 +38,11 @@ class RiskToleranceProcess:
     process: AdaptedProcess = None
 
 
-def risk_tolerance(m: MarketModel, utility: Utility, x: float, *,
-                   optimum: Optimum = None,
-                   space: AttainableSpace = None) -> RiskToleranceProcess:
+def risk_tolerance(optimum: Optimum) -> RiskToleranceProcess:
     """Replicate -U'(X_T)/U''(X_T) over self-financing wealths; on failure
     the certificate is the physical-measure L2 distance to the span."""
-    if optimum is None:
-        optimum = solve_pair(m, utility, x, 0.0)
-    if space is None:
-        space = attainable_space(m)
+    m, utility = optimum.primal.model, optimum.primal.utility
+    space = m.space
     tree = m.tree
     XT = optimum.primal.terminal
     payoff = -utility.du(XT) / utility.d2u(XT)
@@ -70,12 +65,11 @@ def risk_tolerance(m: MarketModel, utility: Utility, x: float, *,
                                 initial=z, process=AdaptedProcess(tree, vals))
 
 
-def risk_tolerance_measure(m: MarketModel, x: float, rt: RiskToleranceProcess,
-                           optimum: Optimum) -> np.ndarray:
+def risk_tolerance_measure(rt: RiskToleranceProcess, optimum: Optimum) -> np.ndarray:
     """Leaf weights of the measure with density (R_T/R_0)·(Y_T/y)."""
     if not rt.exists:
         raise ContractViolationError("the reweighted measure needs a replicable payoff")
-    tree = m.tree
+    tree = optimum.primal.model.tree
     YT = optimum.dual.terminal
     w = tree.leaf_prob * (rt.process.terminal / rt.initial) * (YT / optimum.y)
     if abs(w.sum() - 1.0) > 1e-9:
@@ -94,17 +88,15 @@ class GKWDecomposition:
     weights: np.ndarray = field(repr=False, default=None)
 
 
-def gkw_decompose(m: MarketModel, utility: Utility, x: float,
-                  rt: RiskToleranceProcess, *, optimum: Optimum = None) -> GKWDecomposition:
+def gkw_decompose(rt: RiskToleranceProcess, optimum: Optimum) -> GKWDecomposition:
     """Two-component orthogonal split P = P0 - M - N of the conditional
     expectation of x·F·(A-1), hedgeable part projected node by node under
     the reweighted measure."""
-    if optimum is None:
-        optimum = solve_pair(m, utility, x, 0.0)
     if not rt.exists:
         raise ContractViolationError("decomposition needs the replicating process")
+    m, utility, x = optimum.primal.model, optimum.primal.utility, optimum.x
     tree = m.tree
-    wts = risk_tolerance_measure(m, x, rt, optimum)
+    wts = risk_tolerance_measure(rt, optimum)
 
     F = perturbation_statistics(m).F
     A_leaf = utility.rra(optimum.primal.terminal)
@@ -157,12 +149,12 @@ class GKWHessianTerms:
     C_b: float
 
 
-def hessian_from_gkw(dec: GKWDecomposition, m: MarketModel, utility: Utility,
-                     x: float, rt: RiskToleranceProcess, optimum: Optimum,
-                     a_xx: float) -> GKWHessianTerms:
+def hessian_from_gkw(dec: GKWDecomposition, rt: RiskToleranceProcess,
+                     expansion: ExpansionReport) -> GKWHessianTerms:
     """Second-order coefficients from the decomposition; must match the
     least-squares engine whenever the replicating process exists."""
-    y = optimum.y
+    optimum = expansion.optimum
+    m, utility, x, y = optimum.primal.model, optimum.primal.utility, optimum.x, optimum.y
     stats = perturbation_statistics(m)
     F, G = stats.F, stats.G
     A_leaf = utility.rra(optimum.primal.terminal)
@@ -177,14 +169,15 @@ def hessian_from_gkw(dec: GKWDecomposition, m: MarketModel, utility: Utility,
     a_ee = ratio * dec.P0**2 + ratio * float(wts @ NT**2) + C_a
     b_ee = ratio * (y / x) ** 2 * (dec.P0**2 + float(wts @ MT**2)) + C_b
     a_xe = dec.P0
-    b_ye = y * dec.P0 / (x * a_xx)
+    b_ye = y * dec.P0 / (x * expansion.a_xx)
     return GKWHessianTerms(a_ee=a_ee, b_ee=b_ee, a_xe=a_xe, b_ye=b_ye, C_a=C_a, C_b=C_b)
 
 
 def recovery_residual(dec: GKWDecomposition, rep: ExpansionReport,
-                      rt: RiskToleranceProcess) -> float:
-    """Max node deviation of the decomposition components from the engine's
-    auxiliary optimizers mapped through the change of unit and measure."""
+                      rt: RiskToleranceProcess) -> np.ndarray:
+    """Per node, the larger deviation of the two decomposition components
+    from the engine's auxiliary optimizers mapped through the change of unit
+    and measure."""
     opt = rep.optimum
     Xv = opt.primal.wealth.values
     m1 = rep.basis.expand_process("primal", rep.M1.coeffs)
@@ -193,4 +186,4 @@ def recovery_residual(dec: GKWDecomposition, rep: ExpansionReport,
     rhs_m = (Xv / rt.process.values) * m1
     lhs_n = dec.N_component.values
     rhs_n = (rep.x / rep.y) * n1
-    return max(float(np.max(np.abs(lhs_m - rhs_m))), float(np.max(np.abs(lhs_n - rhs_n))))
+    return np.maximum(np.abs(lhs_m - rhs_m), np.abs(lhs_n - rhs_n))

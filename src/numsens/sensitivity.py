@@ -141,17 +141,15 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
                            primal_slices=primal_slices, dual_slices=dual_slices)
 
 
-def build_bases(m: MarketModel, utility: Utility, x: float, *,
-                optimum: Optimum = None) -> MartingaleBasis:
+def build_bases(optimum: Optimum) -> MartingaleBasis:
     """Span the hedgeable martingales (integrals of wealth-discounted
     prices) and their product-orthogonal complement, node by node."""
-    if optimum is None:
-        optimum = solve_pair(m, utility, x, 0.0)
     r = optimum.r_weights
     if r is None:
         raise ContractViolationError("bases require the eps=0 optimum")
+    m = optimum.primal.model
     Xv = optimum.primal.wealth.values
-    Sdisc = m.asset_prices().values * (x / Xv)[:, None]
+    Sdisc = m.asset_prices().values * (optimum.x / Xv)[:, None]
     return orthogonal_spans(m.tree, Sdisc, r)
 
 
@@ -254,14 +252,12 @@ class ExpansionReport:
     G: np.ndarray = field(repr=False, default=None)
 
 
-def gradient(m: MarketModel, utility: Utility, x: float, *, optimum: Optimum = None):
+def gradient(optimum: Optimum):
     """First-order expansion coefficients of both value functions at the
     unperturbed optimum: (y, xy·E[F]) and (-x, xy·E[F]) under the pricing
     measure."""
-    if optimum is None:
-        optimum = solve_pair(m, utility, x, 0.0)
-    F = perturbation_statistics(m).F
-    y = optimum.y
+    x, y = optimum.x, optimum.y
+    F = perturbation_statistics(optimum.primal.model).F
     ueps = x * y * float(optimum.r_weights @ F)
     return np.array([y, ueps]), np.array([-x, ueps])
 
@@ -289,7 +285,7 @@ def expansion_report(m: MarketModel, utility: Utility, x: float, *,
     """Full second-order expansion of both value functions at (x, 0)."""
     if optimum is None:
         optimum = solve_pair(m, utility, x, 0.0)
-    basis = build_bases(m, utility, x, optimum=optimum)
+    basis = build_bases(optimum)
     stats = perturbation_statistics(m)
     F, G = stats.F, stats.G
     A_leaf = utility.rra(optimum.primal.terminal)
@@ -298,7 +294,7 @@ def expansion_report(m: MarketModel, utility: Utility, x: float, *,
 
     M0, M1, a_xe = solve_aux_primal(basis, x, F, G, A_leaf)
     N0, N1, b_ye = solve_aux_dual(basis, y, F, G, B_leaf)
-    grad_u, grad_v = gradient(m, utility, x, optimum=optimum)
+    grad_u, grad_v = gradient(optimum)
     H_u, H_v = hessians(M0.value, M1.value, a_xe, N0.value, N1.value, b_ye, x, y)
     X_x, X_eps, Y_y, Y_eps = optimizer_derivatives(optimum, M0, M1, N0, N1, F)
     return ExpansionReport(x=x, y=y, gradient_u=grad_u, gradient_v=grad_v,

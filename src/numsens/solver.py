@@ -7,8 +7,8 @@ payoffs.  That space is parametrized by one coefficient per (node,
 independent one-step direction), in which the objective is smooth and
 strictly concave: damped Newton converges to machine precision.  Each Newton
 step is the weighted least-squares fit that the tree-elimination kernel
-(`tree.BlockPlan`, built once per attainable space) solves in time linear in
-the node count, and the gradient behind the first-order residual comes from
+(`tree.BlockPlan`, built once per attainable space, which each market model
+builds once: `MarketModel.space`) solves in time linear in the node count, and the gradient behind the first-order residual comes from
 subtree totals; the payoff matrix `AttainableSpace.W` is a view built on
 access, read only by the risk-tolerance replication.  Complete trees (every
 one-step market spans its child space) instead use the unique one-step
@@ -31,7 +31,6 @@ import numpy as np
 from scipy.optimize import brentq, linprog
 
 from .errors import (
-    AdmissibilityError,
     ContractViolationError,
     InvariantViolationError,
     NoOptimizerError,
@@ -49,6 +48,8 @@ from .tree import (
 
 _RANK_TOL = 1e-12
 _ARB_TOL = 1e-11
+_NEWTON_TOL = 1e-13       # relative first-order residual that ends Newton
+_NEWTON_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def _foc_residual(space, leaf_grad, scale):
     return grad, float(np.max(np.abs(grad) / reach)) / max(scale, 1e-300)
 
 
-def _newton_terminal(space, tree, p, N, x, utility, tol, max_iter):
+def _newton_terminal(space, tree, p, N, x, utility):
     Nl = N.values[tree.leaves]
     alpha = np.zeros(space.dim)
     Z = np.full(tree.n_leaves, float(x))
@@ -279,12 +280,12 @@ def _newton_terminal(space, tree, p, N, x, utility, tol, max_iter):
     f = objective(Z)
     rel = math.inf
     tail = 0
-    for it in range(max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         xi = Z / Nl
         du = utility.du(xi)
         leaf_grad = p * du / Nl
         grad, rel = _foc_residual(space, leaf_grad, float(p @ (du / Nl)))
-        if rel <= tol:
+        if rel <= _NEWTON_TOL:
             break
         curv = p * (-utility.d2u(xi)) / Nl**2
         # the Newton system W'·diag(curv)·W step = grad is the weighted least
@@ -333,24 +334,15 @@ def _newton_terminal(space, tree, p, N, x, utility, tol, max_iter):
     return Z, alpha
 
 
-def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
-                 *, space: AttainableSpace = None, numeraire_process: AdaptedProcess = None,
-                 tol: float = 1e-13, max_iter: int = 200) -> PrimalSolution:
+def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -> PrimalSolution:
     """Exact maximizer of expected terminal utility at initial wealth x in
-    the eps-perturbed market.
-
-    `space` is the attainable space of `m`.  It depends only on the tree and
-    the base returns, not on x, eps or the utility, so one
-    `attainable_space(m)` may be reused for every solve on `m`; it is built
-    when not supplied."""
+    the eps-perturbed market, on the attainable space the model shares
+    across its solves (`MarketModel.space`)."""
     if x <= 0.0:
         raise ContractViolationError("initial wealth must be positive")
     tree = m.tree
-    N = numeraire_process if numeraire_process is not None else numeraire(m, eps)
-    if np.any(N.values <= 0.0):
-        raise AdmissibilityError("supplied unit of account is not strictly positive")
-    if space is None:
-        space = attainable_space(m)
+    N = numeraire(m, eps)
+    space = m.space
     p = tree.leaf_prob
     Nl = N.values[tree.leaves]
 
@@ -360,7 +352,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
         Z_nodes = tree.conditional_expectation(Q[tree.leaves], Z_leaf)
         alpha = None
     else:
-        Z_leaf, alpha = _newton_terminal(space, tree, p, N, x, utility, tol, max_iter)
+        Z_leaf, alpha = _newton_terminal(space, tree, p, N, x, utility)
         Z_nodes = space.plan.process(alpha, float(x))
 
     if np.any(Z_nodes <= 0.0):
@@ -375,7 +367,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     zwealth = AdaptedProcess(tree, Z_nodes)
     wealth = AdaptedProcess(tree, Z_nodes / N.values)
     strat_base = _proportions_from_wealth(tree, zwealth, m.returns)
-    if eps == 0.0 and numeraire_process is None:
+    if eps == 0.0:
         strat = strat_base
     else:
         prices = AdaptedProcess(tree, m.asset_prices().values / N.values[:, None])
@@ -440,12 +432,10 @@ def fit_steps(tree: EventTree, D: np.ndarray, target: np.ndarray):
     return sol, resid
 
 
-def solve_dual(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
-               *, primal: PrimalSolution = None, **kw) -> DualSolution:
+def solve_dual(primal: PrimalSolution) -> DualSolution:
     """Dual optimizer at y = u_x(x, eps), built from the primal solution."""
-    if primal is None:
-        primal = solve_primal(m, utility, x, eps, **kw)
-    tree = m.tree
+    utility = primal.utility
+    tree = primal.model.tree
     p = tree.leaf_prob
     xi = primal.terminal
     yT = utility.du(xi)
@@ -458,9 +448,9 @@ def solve_dual(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
                         conjugacy_residual=conj)
 
 
-def solve_pair(m: MarketModel, utility: Utility, x: float, eps: float = 0.0, **kw) -> Optimum:
-    primal = solve_primal(m, utility, x, eps, **kw)
-    dual = solve_dual(m, utility, x, eps, primal=primal)
+def solve_pair(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -> Optimum:
+    primal = solve_primal(m, utility, x, eps)
+    dual = solve_dual(primal)
     r = pricing_measure(primal, dual) if eps == 0.0 else None
     return Optimum(primal=primal, dual=dual, r_weights=r)
 

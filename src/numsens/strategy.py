@@ -27,8 +27,8 @@ import numpy as np
 from .errors import AdmissibilityError, ContractViolationError, NumericalError, RepresentationError
 from .market import MarketModel
 from .preferences import Utility
-from .sensitivity import ExpansionReport, expansion_report
-from .solver import AttainableSpace, Optimum, fit_steps, solve_pair, solve_primal
+from .sensitivity import ExpansionReport
+from .solver import Optimum, fit_steps, solve_primal
 from .tree import AdaptedProcess, PredictableProcess, stochastic_exponential, stochastic_integral
 
 _REPR_TOL = 1e-10
@@ -202,14 +202,29 @@ def _freeze(tree, values, flag):
 
 @dataclass
 class StrategyKit:
-    model: MarketModel
-    utility: Utility
-    x: float
-    optimum: Optimum
+    """The strategy construction around one solved base: the expansion,
+    which carries the eps = 0 optimum and through it the model, the utility
+    and the initial wealth."""
+
     expansion: ExpansionReport
-    space: AttainableSpace = field(default=None, repr=False)   # shared by the exact re-solves
     _level_cache: dict = field(default_factory=dict, repr=False)
     _solve_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def optimum(self) -> Optimum:
+        return self.expansion.optimum
+
+    @property
+    def model(self) -> MarketModel:
+        return self.optimum.primal.model
+
+    @property
+    def utility(self) -> Utility:
+        return self.optimum.primal.utility
+
+    @property
+    def x(self) -> float:
+        return self.optimum.x
 
     @property
     def pi_hat(self) -> PredictableProcess:
@@ -283,7 +298,7 @@ class StrategyKit:
     def exact_value(self, dx: float, eps: float) -> float:
         key = (round(dx, 18), round(eps, 18))
         if key not in self._solve_cache:
-            sol = solve_primal(self.model, self.utility, self.x + dx, eps, space=self.space)
+            sol = solve_primal(self.model, self.utility, self.x + dx, eps)
             self._solve_cache[key] = sol.value
         return self._solve_cache[key]
 
@@ -350,36 +365,6 @@ class StrategyKit:
                 return max(n, math.ceil(0.5 / h))
             n += 1
         raise NumericalError(f"level budget {budget} exhausted before the rule was met")
-
-
-def build_strategy_kit(m: MarketModel, utility: Utility, x: float, *,
-                       optimum: Optimum = None,
-                       expansion: ExpansionReport = None,
-                       space: AttainableSpace = None) -> StrategyKit:
-    if optimum is None:
-        optimum = solve_pair(m, utility, x, 0.0, space=space)
-    if expansion is None:
-        expansion = expansion_report(m, utility, x, optimum=optimum)
-    return StrategyKit(model=m, utility=utility, x=float(x),
-                       optimum=optimum, expansion=expansion, space=space)
-
-
-# -- module-level convenience wrappers --------------------------------------
-
-
-def nearly_optimal_wealth(m: MarketModel, utility: Utility, x: float,
-                          dx: float, eps: float, n: int) -> AdaptedProcess:
-    return build_strategy_kit(m, utility, x).nearly_optimal_wealth(dx, eps, n)
-
-
-def proportions(m: MarketModel, utility: Utility, x: float,
-                dx: float, eps: float, n: int) -> PredictableProcess:
-    return build_strategy_kit(m, utility, x).proportions(dx, eps, n)
-
-
-def select_n(m: MarketModel, utility: Utility, x: float,
-             dx: float, eps: float, budget: int = 64) -> int:
-    return build_strategy_kit(m, utility, x).select_level(dx, eps, budget=budget)
 
 
 def drift_perturbation_theta(m: MarketModel, psi: PredictableProcess,

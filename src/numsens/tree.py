@@ -44,7 +44,8 @@ class EventTree:
             raise ContractViolationError("nodes must be numbered parents-first")
         if np.any(np.diff(parent[1:]) < 0):
             raise ContractViolationError("nodes must be numbered breadth-first (siblings consecutive)")
-        if np.any(prob[1:] <= 0.0) or np.any(prob[1:] > 1.0):
+        # up to 1 + PROB_TOL, as the sibling sums renormalized below
+        if np.any(prob[1:] <= 0.0) or np.any(prob[1:] > 1.0 + PROB_TOL):
             raise ContractViolationError("transition probabilities must lie in (0, 1]")
 
         self.parent = parent

@@ -22,7 +22,7 @@ from numsens.preferences import log_utility, mixture_utility, power_utility
 from numsens.sensitivity import aux_relation_report, expansion_report
 from numsens.solver import solve_pair, solve_primal
 from numsens.strategy import (
-    build_strategy_kit,
+    StrategyKit,
     characteristics,
     discount_direction,
     perturbed_return_direction,
@@ -172,7 +172,7 @@ def test_criterion_5_optimizer_derivatives():
 
 
 def test_criterion_6_nearly_optimal_strategies():
-    kit = build_strategy_kit(two_period_trinomial_market(), MIX, 1.0)
+    kit = StrategyKit(expansion_report(two_period_trinomial_market(), MIX, 1.0))
     residuals = []
     for k in range(3, 11):
         d = 2.0**-k
@@ -185,7 +185,7 @@ def test_criterion_6_nearly_optimal_strategies():
         if a / b < 2.0:
             ok_decay = False
     # saturating instance: the residual is already at the solver floor
-    kit_sat = build_strategy_kit(t1_market(), log_utility(), 1.0)
+    kit_sat = StrategyKit(expansion_report(t1_market(), log_utility(), 1.0))
     n_sat = kit_sat.select_level(2.0**-3, 2.0**-3)
     sat_res = abs(kit_sat.value_residual(2.0**-3, 2.0**-3, n_sat))
     # proportion round-trip at the stated tolerance
@@ -208,13 +208,13 @@ def test_criterion_7_risk_tolerance_cross_check():
     u = power_utility(0.5)
     opt = solve_pair(m, u, 1.0, 0.0)
     rep = expansion_report(m, u, 1.0, optimum=opt)
-    rt = risk_tolerance(m, u, 1.0, optimum=opt)
-    dec = gkw_decompose(m, u, 1.0, rt, optimum=opt)
-    terms = hessian_from_gkw(dec, m, u, 1.0, rt, opt, rep.a_xx)
+    rt = risk_tolerance(opt)
+    dec = gkw_decompose(rt, opt)
+    terms = hessian_from_gkw(dec, rt, rep)
     gaps = (abs(terms.a_ee - rep.a_ee), abs(terms.b_ee - rep.b_ee),
             abs(terms.a_xe - rep.a_xe), abs(terms.b_ye - rep.b_ye))
-    rt_log = risk_tolerance(m, log_utility(), 1.0)
-    dec_log = gkw_decompose(m, log_utility(), 1.0, rt_log)
+    opt_log = solve_pair(m, log_utility(), 1.0)
+    dec_log = gkw_decompose(risk_tolerance(opt_log), opt_log)
     ok = max(gaps) <= 1e-8 and dec_log.P0 == 0.0
     _criterion(7, "decomposition route reproduces the second-order terms", ok,
                f"max gap {max(gaps):.2e}, log-utility origin {dec_log.P0!r}")

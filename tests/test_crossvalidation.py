@@ -42,11 +42,12 @@ def test_expansion_against_fd_hessian(seed):
 def test_construction_never_beats_the_value(seed):
     # admissibility: the constructed wealth's expected utility is a true
     # lower bound for the exact value at every probed point
-    from numsens.strategy import build_strategy_kit
+    from numsens.sensitivity import expansion_report
+    from numsens.strategy import StrategyKit
 
     m = make_random_tree(3000 + seed, depth=2, max_branches=3)
     u = UTILITIES[seed % len(UTILITIES)]
-    kit = build_strategy_kit(m, u, 1.0)
+    kit = StrategyKit(expansion_report(m, u, 1.0))
     for k in range(3, 8):
         d = 2.0**-k
         n = kit.select_level(d, d)

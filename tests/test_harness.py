@@ -8,7 +8,6 @@ from numsens.cli import main
 from numsens.harness import (
     Campaign,
     calculus_report,
-    run_campaign,
     Report,
     dyadic_campaign,
     emit,
@@ -66,7 +65,7 @@ def test_strategy_campaign_wealth_shift_only(twop, mix):
 
 
 def test_solve_and_risktol_reports(t1, logu):
-    assert solve_report(t1, logu, 1.0, 0.25).all_passed
+    assert solve_report(solver.solve_pair(t1, logu, 1.0, 0.25)).all_passed
     assert risk_tolerance_report(t1, logu, 1.0).all_passed
 
 
@@ -74,7 +73,7 @@ def test_failing_deflator_check_names_its_node_and_limit(twop, logu):
     pair = solver.solve_pair(twop, logu, 1.0, 0.0)
 
     def deflator_check(optimum):
-        rep = solve_report(twop, logu, 1.0, optimum=optimum)
+        rep = solve_report(optimum)
         return next(c for c in rep.checks if c.name == "deflator-supermartingale")
 
     passing = deflator_check(pair)
@@ -86,6 +85,34 @@ def test_failing_deflator_check_names_its_node_and_limit(twop, logu):
     failing = deflator_check(dataclasses.replace(pair, dual=dual))
     assert not failing.passed and failing.computed > 1e-10
     assert failing.note == "12 one-step inequalities; worst at node 2, allowed 1e-10"
+
+
+def test_failing_decay_check_names_its_worst_pair_and_factor():
+    rep = Report(title="decay")
+    harness._decay_check(rep, "ok", "ladder", [1.0, 0.5, 0.25, 1e-12], 2.0, 1e-9)
+    # ratios 2, 1.25, 4: the worst lies between grid points 1 and 2
+    harness._decay_check(rep, "slow", "ladder", [1.0, 0.5, 0.4, 0.1], 2.0, 1e-9)
+    passing, failing = rep.checks
+    assert passing.passed and passing.note == "2 ratio(s) above floor 1e-09"
+    assert not failing.passed and failing.computed == 1.25
+    assert failing.note == ("3 ratio(s) above floor 1e-09; "
+                            "worst between points 1 and 2, allowed 2")
+
+
+def test_failing_recovery_check_names_its_node_and_limit(asym, halfpow):
+    def recovery_check(**kw):
+        rep = risk_tolerance_report(asym, halfpow, 1.0, **kw)
+        return next(c for c in rep.checks if c.name == "gkw-recovery-maps")
+
+    passing = recovery_check()
+    assert passing.passed and passing.note == ""
+    opt = solver.solve_pair(asym, halfpow, 1.0)
+    rt = risktol.risk_tolerance(opt)
+    ex = sensitivity.expansion_report(asym, halfpow, 1.0, optimum=opt)
+    per_node = risktol.recovery_residual(risktol.gkw_decompose(rt, opt), ex, rt)
+    failing = recovery_check(tol=0.0)
+    assert not failing.passed and failing.computed == per_node.max() > 0.0
+    assert failing.note == f"worst at node {per_node.argmax()}, allowed 0"
 
 
 def test_counterexample_unbounded_jumps_hand_value():
@@ -177,7 +204,6 @@ def test_expansion_campaign_builds_one_space_and_solves_each_point_once(
     assert len(spaces) == 1
     points = _solve_points(solves)
     assert len(points) == len(set(points))
-    assert all(kw["space"] is not None for _, kw in solves)
 
 
 def test_verify_all_solves_the_base_pair_and_expansion_once(monkeypatch, t1, mix):
@@ -190,25 +216,13 @@ def test_verify_all_solves_the_base_pair_and_expansion_once(monkeypatch, t1, mix
     assert len(expansions) == 1
 
 
-def test_run_campaign_builds_the_base_results_once(monkeypatch, t1, logu):
+def test_one_model_builds_its_space_once_across_reports(monkeypatch, twop, halfpow):
+    # standalone reports on one market object share the model's space
     spaces = _count_calls(monkeypatch, "attainable_space")
-    expansions = _count_calls(monkeypatch, "expansion_report")
-    camp = dyadic_campaign(t1, logu, 1.0, k_range=range(3, 6))
-    got = run_campaign(camp).to_csv()
-    assert len(spaces) == 1
-    assert len(expansions) == 1
-    # the shared base results give the same bytes as the campaigns run alone
-    monkeypatch.undo()
-    subs = [run_expansion_campaign(camp), run_strategy_campaign(camp)]
-    header, _ = got.split("\n", 1)
-    assert got == header + "\n" + "".join(s.to_csv().split("\n", 1)[1] for s in subs)
-
-
-def test_run_campaign_without_campaign_checks_solves_nothing(monkeypatch, t1, logu):
-    spaces = _count_calls(monkeypatch, "attainable_space")
-    camp = dataclasses.replace(dyadic_campaign(t1, logu, 1.0, k_range=range(3, 6)), checks=())
-    assert run_campaign(camp).checks == []
-    assert spaces == []
+    solver.solve_pair(twop, halfpow, 1.0)
+    risk_tolerance_report(twop, halfpow, 1.0)
+    run_expansion_campaign(dyadic_campaign(twop, halfpow, 1.0, k_range=range(3, 6)))
+    assert len(spaces) == 1 and spaces[0][0][0] is twop
 
 
 @pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir"])
@@ -217,7 +231,7 @@ def test_verify_all_equals_its_sub_reports_standalone(request, market, halfpow):
     k_range = range(3, 6)
     got = verify_all(m, halfpow, 1.0, k_range=k_range).to_csv()
     camp = dyadic_campaign(m, halfpow, 1.0, k_range=k_range)
-    subs = [calculus_report(m), solve_report(m, halfpow, 1.0, 0.0),
+    subs = [calculus_report(m), solve_report(solver.solve_pair(m, halfpow, 1.0)),
             run_expansion_campaign(camp), run_strategy_campaign(camp),
             risk_tolerance_report(m, halfpow, 1.0)]
     header, _ = got.split("\n", 1)
@@ -281,15 +295,6 @@ def test_cli_utility_from_file(tmp_path, twop):
     assert main(["solve", "--spec", str(path)]) == 0
 
 
-def test_run_campaign_check_selector(t1, logu):
-    camp = dyadic_campaign(t1, logu, 1.0, k_range=range(3, 6), checks=("strategy",))
-    rep = run_campaign(camp)
-    assert rep.all_passed
-    names = {c.name for c in rep.checks}
-    assert any(n.startswith("match-residual") for n in names)
-    assert not any(n.startswith("u-quad") for n in names)
-
-
 def test_cli_defaults_to_log_utility(tmp_path, t1):
     path = tmp_path / "bare.json"
     save_market(t1, path)            # no utility block
@@ -297,7 +302,7 @@ def test_cli_defaults_to_log_utility(tmp_path, t1):
 
 
 def test_emit_rejects_unknown_format(tmp_path, t1, logu):
-    rep = solve_report(t1, logu, 1.0)
+    rep = solve_report(solver.solve_pair(t1, logu, 1.0))
     with pytest.raises(ContractViolationError):
         emit(rep, tmp_path / "x.bin", "parquet")
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from numsens.instances import two_asset_market
-from numsens.market import perturbation_statistics
 from numsens.preferences import log_utility, mixture_utility, power_utility
 from numsens.risktol import gkw_decompose, hessian_from_gkw, risk_tolerance
 from numsens.sensitivity import aux_relation_report, expansion_report
 from numsens.solver import solve_pair, solve_primal, verify_deflator
 from numsens.strategy import (
-    build_strategy_kit,
+    StrategyKit,
     discount_direction,
     drift_perturbation_theta,
     perturbed_return_direction,
@@ -104,7 +103,7 @@ def test_hessian_against_resolves(m2):
 
 
 def test_strategy_pipeline(m2deep):
-    kit = build_strategy_kit(m2deep, MIX, 1.0)
+    kit = StrategyKit(expansion_report(m2deep, MIX, 1.0))
     dx = eps = 2.0**-5
     n = kit.select_level(dx, eps)
     X = kit.nearly_optimal_wealth(dx, eps, n)
@@ -119,7 +118,7 @@ def test_strategy_pipeline(m2deep):
 
 
 def test_vector_representation(m2deep):
-    kit = build_strategy_kit(m2deep, MIX, 1.0)
+    kit = StrategyKit(expansion_report(m2deep, MIX, 1.0))
     basis = kit.expansion.basis
     target = AdaptedProcess(m2deep.tree,
                             basis.expand_process("primal", kit.expansion.M1.coeffs))
@@ -131,11 +130,11 @@ def test_vector_representation(m2deep):
 def test_risk_tolerance_cross_check(m2deep):
     u = power_utility(0.5)
     opt = solve_pair(m2deep, u, 1.0, 0.0)
-    rt = risk_tolerance(m2deep, u, 1.0, optimum=opt)
+    rt = risk_tolerance(opt)
     assert rt.exists
     rep = expansion_report(m2deep, u, 1.0, optimum=opt)
-    dec = gkw_decompose(m2deep, u, 1.0, rt, optimum=opt)
-    terms = hessian_from_gkw(dec, m2deep, u, 1.0, rt, opt, rep.a_xx)
+    dec = gkw_decompose(rt, opt)
+    terms = hessian_from_gkw(dec, rt, rep)
     assert terms.a_ee == pytest.approx(rep.a_ee, abs=1e-8)
     assert terms.b_ee == pytest.approx(rep.b_ee, abs=1e-8)
     assert terms.a_xe == pytest.approx(rep.a_xe, abs=1e-8)
@@ -172,7 +171,7 @@ def test_depth_four_trinomial_pipeline():
     rep = expansion_report(m, u, 1.0)
     rel = aux_relation_report(rep)
     assert rel.max_residual <= 1e-8
-    kit = build_strategy_kit(m, u, 1.0, optimum=rep.optimum, expansion=rep)
+    kit = StrategyKit(rep)
     dx = eps = 2.0**-6
     n = kit.select_level(dx, eps)
     X = kit.nearly_optimal_wealth(dx, eps, n)

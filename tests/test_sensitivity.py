@@ -19,14 +19,14 @@ from conftest import fd_hessian_fit
 
 
 def test_basis_dimensions(binom, t1, logu):
-    b1 = build_bases(binom, logu, 1.0)
+    b1 = build_bases(solve_pair(binom, logu, 1.0))
     assert b1.primal_dim == 1 and b1.dual_dim == 0        # complete one-step market
-    b2 = build_bases(t1, logu, 1.0)
+    b2 = build_bases(solve_pair(t1, logu, 1.0))
     assert b2.primal_dim == 1 and b2.dual_dim == 1        # three branches, one asset
 
 
 def test_basis_martingale_and_orthogonality(twop, mix):
-    basis = build_bases(twop, mix, 1.0)
+    basis = build_bases(solve_pair(twop, mix, 1.0))
     r = basis.weights
     tree = basis.tree
     # every basis element has zero conditional mean and the cross Gram vanishes
@@ -63,7 +63,7 @@ def test_aux_bank_direction_trivial(bank_dir, logu):
 
 def test_complete_market_dual_value(binom, mix):
     opt = solve_pair(binom, mix, 1.0, 0.0)
-    basis = build_bases(binom, mix, 1.0, optimum=opt)
+    basis = build_bases(opt)
     stats = perturbation_statistics(binom)
     B = mix.rrt(opt.dual.terminal)
     N0, N1, b_ye = solve_aux_dual(basis, opt.y, stats.F, stats.G, B)
@@ -72,7 +72,7 @@ def test_complete_market_dual_value(binom, mix):
 
 
 def test_gradient_envelope_fd(asym, logu):
-    g_u, g_v = gradient(asym, logu, 1.0)
+    g_u, g_v = gradient(solve_pair(asym, logu, 1.0))
     assert g_u[1] == g_v[1]
     h = 1e-4
     fd = (solve_primal(asym, logu, 1.0, h).value
@@ -83,7 +83,7 @@ def test_gradient_envelope_fd(asym, logu):
 
 
 def test_t1_symmetric_gradient_vanishes(t1, logu):
-    g_u, _ = gradient(t1, logu, 1.0)
+    g_u, _ = gradient(solve_pair(t1, logu, 1.0))
     assert g_u[1] == pytest.approx(0.0, abs=1e-15)
 
 

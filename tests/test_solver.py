@@ -160,8 +160,8 @@ def test_redundant_asset_diagnostics(logu):
     assert sol.foc_residual <= 1e-10
 
 
-def test_dual_without_primal_runs(t1, logu):
-    d = solve_dual(t1, logu, 1.0, 0.0)
+def test_dual_from_the_primal_closes_the_conjugacy_gap(t1, logu):
+    d = solve_dual(solve_primal(t1, logu, 1.0))
     assert d.conjugacy_residual < 1e-12
 
 
@@ -184,18 +184,6 @@ def test_marginal_matches_fd(twop, mix):
         fd = (solve_primal(twop, mix, 1.0 + h, eps).value
               - solve_primal(twop, mix, 1.0 - h, eps).value) / (2 * h)
         assert sol.marginal == pytest.approx(fd, rel=1e-8)
-
-
-def test_supplied_unit_of_account(t1, logu):
-    # solving against an externally supplied positive unit matches the
-    # internally constructed one
-    N = numeraire(t1, 0.5)
-    a = solve_primal(t1, logu, 1.0, 0.5)
-    b = solve_primal(t1, logu, 1.0, 0.5, numeraire_process=N)
-    assert a.value == b.value
-    bad = AdaptedProcess(t1.tree, np.zeros(t1.tree.n_nodes))
-    with pytest.raises(Exception):
-        solve_primal(t1, logu, 1.0, 0.0, numeraire_process=bad)
 
 
 def test_solution_strategies_regenerate_wealth(twop, mix):
@@ -269,14 +257,16 @@ def test_random_tree_duality_properties(seed):
 @given(st.integers(0, 10**6), st.floats(-0.49, 0.49), st.floats(0.5, 2.0))
 def test_space_is_independent_of_the_perturbation(seed, frac, x):
     # one space serves solves at every x and eps: the results are bit-identical
-    # to those of solves that build their own
+    # to those of solves on a fresh copy of the model, which builds its own
+    import dataclasses
     from conftest import make_random_tree
     m = make_random_tree(seed, depth=1 + seed % 3)
     u = [log_utility(), power_utility(0.5), power_utility(-2.0)][seed % 3]
-    space = attainable_space(m)
+    solve_primal(m, u, 0.5 * x, 0.0)
     for eps in (frac * min(m.eps0, 2.0), 0.0):
-        shared = solve_primal(m, u, x, eps, space=space)
-        own = solve_primal(m, u, x, eps)
+        shared = solve_primal(m, u, x, eps)
+        own = solve_primal(dataclasses.replace(m), u, x, eps)
+        assert own.model.space is not shared.model.space
         assert shared.value == own.value and shared.marginal == own.marginal
         assert np.array_equal(shared.wealth.values, own.wealth.values)
 

@@ -3,8 +3,9 @@ import pytest
 
 from numsens.errors import AdmissibilityError, ContractViolationError, RepresentationError
 from numsens.market import MarketModel
+from numsens.sensitivity import expansion_report
 from numsens.strategy import (
-    build_strategy_kit,
+    StrategyKit,
     perturbed_return_direction,
     characteristics,
     discount_direction,
@@ -87,7 +88,7 @@ def test_discount_ratio_identity_random():
 
 
 def test_representation_roundtrip(twop, mix):
-    kit = build_strategy_kit(twop, mix, 1.0)
+    kit = StrategyKit(expansion_report(twop, mix, 1.0))
     basis = kit.expansion.basis
     zero = represent_martingale(AdaptedProcess(twop.tree, np.zeros(twop.tree.n_nodes)),
                                 twop, kit.pi_hat)
@@ -102,7 +103,7 @@ def test_representation_roundtrip(twop, mix):
 
 
 def test_representation_rejects_unhedgeable(t1, logu):
-    kit = build_strategy_kit(t1, logu, 1.0)
+    kit = StrategyKit(expansion_report(t1, logu, 1.0))
     # a dual-span martingale cannot be written as a trading integral
     bad = AdaptedProcess(t1.tree,
                          kit.expansion.basis.expand_process("dual", np.array([1.0])))
@@ -149,7 +150,7 @@ def test_truncation_qv_stop():
 
 
 def test_nearly_optimal_wealth_identities(t1, logu):
-    kit = build_strategy_kit(t1, logu, 1.0)
+    kit = StrategyKit(expansion_report(t1, logu, 1.0))
     base = kit.nearly_optimal_wealth(0.0, 0.0, 1)
     assert np.allclose(base.values, kit.optimum.primal.wealth.values, atol=1e-14)
     # wealth-only corrections use the base returns
@@ -162,7 +163,7 @@ def test_nearly_optimal_wealth_identities(t1, logu):
 
 
 def test_nearly_optimal_wealth_admissibility_error(t1, logu):
-    kit = build_strategy_kit(t1, logu, 1.0)
+    kit = StrategyKit(expansion_report(t1, logu, 1.0))
     with pytest.raises(AdmissibilityError):
         kit.nearly_optimal_wealth(-2.0, 0.0, 1)
     explicit, reference = kit.admissible_radius(1)
@@ -170,7 +171,7 @@ def test_nearly_optimal_wealth_admissibility_error(t1, logu):
 
 
 def test_proportions_roundtrip_and_structure(twop, mix):
-    kit = build_strategy_kit(twop, mix, 1.0)
+    kit = StrategyKit(expansion_report(twop, mix, 1.0))
     dx, eps, n = 0.05, 0.04, 2
     X = kit.nearly_optimal_wealth(dx, eps, n)
     props = kit.proportions(dx, eps, n)
@@ -184,7 +185,7 @@ def test_proportions_roundtrip_and_structure(twop, mix):
 
 
 def test_proportions_eps_zero_and_singular(t1, logu):
-    kit = build_strategy_kit(t1, logu, 1.0)
+    kit = StrategyKit(expansion_report(t1, logu, 1.0))
     g0, _, _, _ = kit.level_data(1)
     p = kit.proportions(0.125, 0.0, 1)
     expect = kit.pi_hat.values[1:, 1] + 0.125 * g0.values[1:, 1]
@@ -195,7 +196,7 @@ def test_proportions_eps_zero_and_singular(t1, logu):
 
 def test_one_stock_proportion_structure(asym, logu):
     # single stock: perturbed proportion is (1-eps) pi + eps theta
-    kit = build_strategy_kit(asym, logu, 1.0)
+    kit = StrategyKit(expansion_report(asym, logu, 1.0))
     eps = 0.1
     p = kit.proportions(0.0, eps, 1)
     g0, g1, _, _ = kit.level_data(1)
@@ -205,12 +206,12 @@ def test_one_stock_proportion_structure(asym, logu):
 
 
 def test_select_level_properties(twop, mix, bank_dir, logu):
-    kit = build_strategy_kit(twop, mix, 1.0)
+    kit = StrategyKit(expansion_report(twop, mix, 1.0))
     levels = [kit.select_level(2.0**-k, 2.0**-k) for k in range(3, 9)]
     assert all(a <= b for a, b in zip(levels, levels[1:]))
     assert kit.select_level(0.0, 0.0) == 1
     # wealth-shift-only selection works with the bank direction
-    kb = build_strategy_kit(bank_dir, logu, 1.0)
+    kb = StrategyKit(expansion_report(bank_dir, logu, 1.0))
     assert kb.select_level(2.0**-6, 0.0) >= 1
 
 
@@ -268,6 +269,6 @@ def test_drift_perturbation_compensator(twop):
 def test_matching_residual_bounded_at_fixed_level(twop, mix):
     # for a fixed level the normalized prediction gap stays bounded along
     # dyadic radii (the selection rule is what drives it to zero)
-    kit = build_strategy_kit(twop, mix, 1.0)
+    kit = StrategyKit(expansion_report(twop, mix, 1.0))
     vals = [abs(kit.matching_residual(2.0**-k, 2.0**-k, 1)) for k in range(3, 9)]
     assert max(vals) < 1.0

@@ -53,6 +53,14 @@ def test_tree_renormalizes_tiny_drift():
     assert abs(t.prob[1:].sum() - 1.0) < 1e-15
 
 
+def test_single_child_probability_within_tolerance_above_one():
+    # a lone child one ulp above 1 is off by less than PROB_TOL, like a
+    # sibling sum, and is renormalized; a larger excess is still rejected
+    assert EventTree([-1, 0], [1.0, 1.0000000000000002]).prob[1] == 1.0
+    with pytest.raises(ContractViolationError, match=r"\(0, 1\]"):
+        EventTree([-1, 0], [1.0, 1.0 + 1e-9])
+
+
 def test_tree_rejects_interleaved_siblings():
     # parents-first and level by level, but node 5 is separated from its sibling 3
     with pytest.raises(ContractViolationError, match="breadth-first"):
