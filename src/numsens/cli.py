@@ -21,9 +21,9 @@ from .harness import (
     solve_report,
     verify_all,
 )
-from .solver import solve_pair
 from .market import load_market
 from .preferences import log_utility
+from .solver import solve_pair
 
 
 def _floats(text: str):

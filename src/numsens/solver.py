@@ -8,11 +8,12 @@ independent one-step direction), in which the objective is smooth and
 strictly concave: damped Newton converges to machine precision.  Each Newton
 step is the weighted least-squares fit that the tree-elimination kernel
 (`tree.BlockPlan`, built once per attainable space, which each market model
-builds once: `MarketModel.space`) solves in time linear in the node count, and the gradient behind the first-order residual comes from
-subtree totals; the payoff matrix `AttainableSpace.W` is a view built on
-access, read only by the risk-tolerance replication.  Complete trees (every
-one-step market spans its child space) instead use the unique one-step
-pricing weights and a one-dimensional budget root-find.
+builds once: `MarketModel.space`) solves in time linear in the node count,
+and the gradient behind the first-order residual comes from subtree totals;
+the payoff matrix `AttainableSpace.W` is a view built on access, read only
+by the risk-tolerance replication.  Complete trees (every one-step market
+spans its child space) instead use the unique one-step pricing weights and
+a one-dimensional budget root-find.
 
 The dual optimizer is built from the primal one: its terminal value is the
 marginal utility of the optimal wealth, and the product with the optimal
@@ -58,21 +59,17 @@ _NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
-class NodeSpan:
-    node: int
-    directions: np.ndarray        # (n_children, rank) orthonormal one-step payoffs
-    rank: int
-    redundant: bool               # one-step returns were collinear
-
-
-@dataclass(frozen=True)
 class AttainableSpace:
-    """Basis of terminal payoffs attainable by self-financing trading from 0."""
+    """Basis of terminal payoffs attainable by self-financing trading from 0.
+
+    A model keeps its space for life, so the space holds no per-node Python
+    objects beyond the block tuples, which hold no containers: the garbage
+    collector would traverse them on every full collection."""
 
     tree: EventTree
-    spans: dict = field(repr=False)        # node -> NodeSpan
     complete: bool
     blocks: list = field(repr=False)       # (node, first column, directions), rank > 0
+    redundant_nodes: tuple                 # nodes whose one-step returns were collinear
     plan: BlockPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -134,22 +131,22 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
         raise NoOptimizerError(
             f"one-step arbitrage at node {first}: no optimizer exists (NUPBR fails)"
         )
-    spans, complete = {}, True
+    directions, redundant, complete = {}, [], True
     for k, (nodes, ch) in tree.branch_groups.items():
         D = dR[ch][:, :, 1:]
         u_, s, _ = np.linalg.svd(D, full_matrices=False)
         ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
         complete = complete and bool(np.all(ranks == k - 1))
+        redundant.extend(nodes[ranks < min(D.shape[1:])].tolist())
         for node, u_node, rank in zip(nodes.tolist(), u_, ranks.tolist()):
-            spans[node] = NodeSpan(node=node, directions=u_node[:, :rank].copy(),
-                                   rank=rank, redundant=rank < min(D.shape[1:]))
-    spans = dict(sorted(spans.items()))
+            if rank:
+                directions[node] = u_node[:, :rank].copy()
     blocks, col = [], 0
-    for node, sp in spans.items():
-        if sp.rank:
-            blocks.append((node, col, sp.directions))
-        col += sp.rank
-    return AttainableSpace(tree=tree, spans=spans, complete=complete, blocks=blocks)
+    for node in sorted(directions):
+        blocks.append((node, col, directions[node]))
+        col += directions[node].shape[1]
+    return AttainableSpace(tree=tree, complete=complete, blocks=blocks,
+                           redundant_nodes=tuple(sorted(redundant)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +209,12 @@ def _complete_tree_terminal(space, tree, p, N, x, utility):
     if not space.complete:
         raise InvariantViolationError("complete-tree path invoked on an incomplete tree")
     q_child = np.ones(tree.n_nodes)
+    # complete: every node with k >= 2 children spans k - 1 directions
+    directions = {node: V for node, _, V in space.blocks}
     for k, (nodes, ch) in tree.branch_groups.items():
         if k == 1:
             continue
-        V = np.stack([space.spans[node].directions for node in nodes.tolist()])
+        V = np.stack([directions[node] for node in nodes.tolist()])
         u_full, _, _ = np.linalg.svd(V, full_matrices=True)
         q = u_full[:, :, k - 1]
         q = q / q.sum(axis=1, keepdims=True)
@@ -376,7 +375,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -
     # on this solve; extreme ratios cap attainable double-precision accuracy
     diag = {"complete": complete, "newton_dim": space.dim,
             "wealth_ratio": float(np.max(xi) / np.min(xi)),
-            "redundant_nodes": sorted(n for n, sp in space.spans.items() if sp.redundant)}
+            "redundant_nodes": list(space.redundant_nodes)}
     return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
                           value=value, marginal=y, wealth=wealth, zwealth=zwealth,
                           strategy=strat, strategy_base=strat_base,

@@ -154,7 +154,7 @@ def test_redundant_asset_diagnostics(logu):
     theta[1:] = [0.0, 1.0, 0.0]
     m = MarketModel(tree, AdaptedProcess(tree, R), PredictableProcess(tree, theta))
     space = attainable_space(m)
-    assert space.spans[0].redundant
+    assert space.redundant_nodes == (0,)
     sol = solve_primal(m, logu, 1.0, 0.0)
     assert sol.diagnostics["redundant_nodes"] == [0]
     assert sol.foc_residual <= 1e-10
