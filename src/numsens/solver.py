@@ -61,19 +61,13 @@ _NEWTON_MAX_ITER = 200
 @dataclass(frozen=True)
 class AttainableSpace:
     """Basis of terminal payoffs attainable by self-financing trading from 0.
-
-    A model keeps its space for life, so the space holds no per-node Python
-    objects beyond the block tuples, which hold no containers: the garbage
-    collector would traverse them on every full collection."""
+    A model keeps its space for life, so the blocks live only stacked in the
+    plan: per-node objects kept alive make the garbage collector run more."""
 
     tree: EventTree
     complete: bool
-    blocks: list = field(repr=False)       # (node, first column, directions), rank > 0
+    plan: BlockPlan = field(repr=False, compare=False)
     redundant_nodes: tuple                 # nodes whose one-step returns were collinear
-    plan: BlockPlan = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "plan", BlockPlan(self.tree, self.blocks))
 
     @property
     def dim(self) -> int:
@@ -83,7 +77,7 @@ class AttainableSpace:
     def W(self) -> np.ndarray:
         """(n_leaves, dim) payoff matrix, built on each access; only the
         risk-tolerance replication reads it."""
-        return payoff_matrix(self.tree, self.blocks, self.dim)
+        return payoff_matrix(self.tree, self.plan.blocks(), self.dim)
 
 
 def _one_step_arbitrage(D: np.ndarray) -> bool:
@@ -145,7 +139,7 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
     for node in sorted(directions):
         blocks.append((node, col, directions[node]))
         col += directions[node].shape[1]
-    return AttainableSpace(tree=tree, complete=complete, blocks=blocks,
+    return AttainableSpace(tree=tree, complete=complete, plan=BlockPlan(tree, blocks),
                            redundant_nodes=tuple(sorted(redundant)))
 
 
@@ -208,21 +202,18 @@ def _complete_tree_terminal(space, tree, p, N, x, utility):
     """Unique pricing weights + budget root-find; returns leaf wealth Z."""
     if not space.complete:
         raise InvariantViolationError("complete-tree path invoked on an incomplete tree")
-    q_child = np.ones(tree.n_nodes)
-    # complete: every node with k >= 2 children spans k - 1 directions
-    directions = {node: V for node, _, V in space.blocks}
-    for k, (nodes, ch) in tree.branch_groups.items():
-        if k == 1:
-            continue
-        V = np.stack([directions[node] for node in nodes.tolist()])
-        u_full, _, _ = np.linalg.svd(V, full_matrices=True)
-        q = u_full[:, :, k - 1]
-        q = q / q.sum(axis=1, keepdims=True)
-        if np.any(q <= 0.0):
-            raise InvariantViolationError("pricing weights not positive on a no-arbitrage node")
-        q_child[ch] = q
+    q_child = np.ones(tree.n_nodes + 1)
+    # complete: a node of rank r has r + 1 children, so no group is padded
+    for _nodes, children, cols, V in space.plan.groups:
+        if cols.shape[1]:
+            u_full, _, _ = np.linalg.svd(V, full_matrices=True)
+            q = u_full[:, :, cols.shape[1]]
+            q = q / q.sum(axis=1, keepdims=True)
+            if np.any(q <= 0.0):
+                raise InvariantViolationError("pricing weights not positive on a no-arbitrage node")
+            q_child[children] = q
 
-    Q = tree.cumulate(q_child, 1.0, np.multiply)
+    Q = tree.cumulate(q_child[:-1], 1.0, np.multiply)
     Ql = Q[tree.leaves]
     Nl = N.values[tree.leaves]
 

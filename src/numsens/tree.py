@@ -387,6 +387,16 @@ class BlockPlan:
                 V[at, :kk] = np.stack([members[i][2] for i in at.tolist()])
             self.groups.append((nodes, children, cols, V))
 
+    def blocks(self) -> list:
+        """The (node, first column, V) blocks the plan was built from, in
+        node order, with V unpadded."""
+        out = []
+        for nodes, _children, cols, V in self.groups:
+            if cols.shape[1]:
+                out += zip(nodes.tolist(), cols[:, 0].tolist(),
+                           (v[:k] for v, k in zip(V, self.tree.n_children[nodes].tolist())))
+        return sorted(out)
+
     def process(self, coeffs, start=0.0) -> np.ndarray:
         """Node values of start plus the blocks' increments weighted by
         coeffs, down from the root; its leaf values are

@@ -277,9 +277,9 @@ def test_payoff_matrix_matches_coefficient_process_attainable(seed):
     for m in (make_random_tree(seed % 1000, depth=1 + seed % 3), two_asset_market(depth=2)):
         space = attainable_space(m)
         c = rng.normal(size=space.dim)
-        _check_blocks(m.tree, space.blocks, space.W, c)
+        _check_blocks(m.tree, space.plan.blocks(), space.W, c)
         assert np.array_equal(space.plan.process(c, 0.5),
-                              naive_process_from_coefficients(m.tree, space.blocks, c, 0.5))
+                              naive_process_from_coefficients(m.tree, space.plan.blocks(), c, 0.5))
 
 
 @settings(max_examples=30, deadline=None)
@@ -354,10 +354,10 @@ def _elimination_case(seed, kind):
     rng = np.random.default_rng(seed)
     if kind == "trinomial":
         m = make_random_tree(seed % 1000, depth=1 + seed % 4)
-        return m.tree, attainable_space(m).blocks, rng
+        return m.tree, attainable_space(m).plan.blocks(), rng
     if kind == "two-asset":
         m = two_asset_market(depth=2)
-        return m.tree, attainable_space(m).blocks, rng
+        return m.tree, attainable_space(m).plan.blocks(), rng
     tree = make_mixed_tree(seed)
     return tree, random_blocks(tree, rng), rng
 
