@@ -62,7 +62,8 @@ _NEWTON_MAX_ITER = 200
 class AttainableSpace:
     """Basis of terminal payoffs attainable by self-financing trading from 0.
     A model keeps its space for life, so the blocks live only stacked in the
-    plan: per-node objects kept alive make the garbage collector run more."""
+    plan: per-node objects kept alive make the garbage collector run more
+    often."""
 
     tree: EventTree
     complete: bool
@@ -202,7 +203,7 @@ def _complete_tree_terminal(space, tree, p, N, x, utility):
     """Unique pricing weights + budget root-find; returns leaf wealth Z."""
     if not space.complete:
         raise InvariantViolationError("complete-tree path invoked on an incomplete tree")
-    q_child = np.ones(tree.n_nodes + 1)
+    q_child = np.ones(tree.n_nodes)
     # complete: a node of rank r has r + 1 children, so no group is padded
     for _nodes, children, cols, V in space.plan.groups:
         if cols.shape[1]:
@@ -213,7 +214,7 @@ def _complete_tree_terminal(space, tree, p, N, x, utility):
                 raise InvariantViolationError("pricing weights not positive on a no-arbitrage node")
             q_child[children] = q
 
-    Q = tree.cumulate(q_child[:-1], 1.0, np.multiply)
+    Q = tree.cumulate(q_child, 1.0, np.multiply)
     Ql = Q[tree.leaves]
     Nl = N.values[tree.leaves]
 
