@@ -7,6 +7,12 @@ timestamps), and a report fails exactly when one of its checks does.
 Asymptotic claims are tested as monotone residual-ratio decay on dyadic
 grids with a solver-tolerance floor, since no single grid point can
 witness a little-o statement.
+
+Campaign re-solves run serially in the calling thread.  Each solve is a
+chain of small numpy calls that holds the interpreter lock most of the
+time, so threads cannot overlap them: on a 2-core host, six `verify_all`
+runs on 73- to 261-node trinomials took 9.6-10.3 s with a 4-thread pool
+and 6.0-6.5 s serially, with identical report bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import csv
 import hashlib
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -143,13 +148,11 @@ def emit(report: Report, path, fmt: str = "csv") -> bool:
     return report.all_passed
 
 
-def _pmap(fn, items, workers: int = 4):
-    """Order-preserving parallel map over pure tasks."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+def _pmap(fn, items, workers: int = 1):
+    """Order-preserving map in the calling thread; the package does not call
+    it.  The benchmark records the default of `workers` as the harness's
+    pool size."""
+    return [fn(it) for it in items]
 
 
 def model_digest(m: MarketModel, utility: Utility = None) -> str:
@@ -175,6 +178,9 @@ class Campaign:
     # radius; 1.8 is the same slack the optimizer-derivative decay uses
     expansion_decay: float = 1.8
     strategy_decay: float = 2.0
+    # u(x + dx, eps) by grid point: both campaigns' kits read and fill it, so
+    # each point is solved once
+    _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dx_grid) != len(self.eps_grid):
@@ -219,6 +225,44 @@ def _decay_check(report, name, anchor, residuals, factor, floor):
                0.0 if passed else factor - worst, passed, note)
 
 
+def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
+    """v(y + dy, e) from an exact re-solve: the dual at the wealth whose
+    marginal is y + dy.  Since dv/dy = -x, the bracket starts around the
+    expansion's x0 = -(v_y + v_yy dy + v_ye e) and widens geometrically; the
+    marginal falls in the wealth, so a side that misses bounds the other."""
+    opt = ex.optimum
+    m, u = opt.primal.model, opt.primal.utility
+    yt = opt.y + dy
+    # the bracketing, brentq and the dual at the root revisit the same
+    # wealths: solve each one once
+    solved = {}
+
+    def primal_at(xx):
+        if xx not in solved:
+            solved[xx] = solve_primal(m, u, xx, e)
+        return solved[xx]
+
+    def marg(xx):
+        return primal_at(xx).marginal - yt
+
+    x0 = -(ex.gradient_v[0] + ex.hessian_v[0, 0] * dy + ex.hessian_v[0, 1] * e)
+    if x0 <= 0.0:
+        x0 = opt.x
+    w = (dy * dy + e * e) * max(1.0, x0)
+    lo, hi = max(x0 - w, 0.5 * x0), x0 + w
+    for _ in range(200):
+        if marg(lo) < 0.0:
+            w *= 2.0
+            lo, hi = max(x0 - w, 0.5 * lo), lo
+        elif marg(hi) > 0.0:
+            w *= 2.0
+            lo, hi = hi, x0 + w
+        else:
+            break
+    xs = brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return solve_dual(primal_at(xs)).value
+
+
 def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
     """Quadratic-expansion verification of both value functions against
     exact re-solves, plus the first-order (envelope) finite-difference check,
@@ -228,82 +272,41 @@ def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
                  metadata={"model": partial(model_digest, m, u), "x": x,
                            "grid_points": len(c.dx_grid)})
     ex = base if base is not None else expansion_report(m, u, x)
-    opt = ex.optimum
-    y = opt.y
-    u0, v0 = opt.primal.value, opt.dual.value
+    kit = StrategyKit(ex, _solve_cache=c._exact)
+    v0 = ex.optimum.dual.value
 
     # envelope: central differences of the value in the perturbation size
-    target = ex.gradient_u[1]
-    errs = []
     h0 = min(1e-2, 0.25 * m.eps0)
-    for h in (h0, h0 / 10.0, h0 / 100.0):
-        fd = (solve_primal(m, u, x, h).value - solve_primal(m, u, x, -h).value) / (2 * h)
-        errs.append(abs(fd - target))
+    errs = [abs((solve_primal(m, u, x, h).value - solve_primal(m, u, x, -h).value) / (2 * h)
+                - ex.gradient_u[1]) for h in (h0, h0 / 10.0, h0 / 100.0)]
     ok = errs[2] <= 1e-7 and all(
         errs[i] / max(errs[i + 1], 1e-16) >= 50.0 or errs[i + 1] <= 1e-12
         for i in range(2))
     rep.add("envelope-gradient", "value-gradient-envelope", errs[2], 0.0, errs[2], ok,
             "fd errors " + ",".join(_fmt(e) for e in errs))
 
-    def u_point(pt):
-        dx, e = pt
-        try:
-            exact = solve_primal(m, u, x + dx, e).value
-        except AdmissibilityError as err:
-            return None, str(err)
-        return exact, ""
-
     points = list(zip(c.dx_grid, c.eps_grid))
-    exact_u = _pmap(u_point, points)
     resid_u = []
-    for (dx, e), (exact, note) in zip(points, exact_u):
-        if exact is None:
+    for dx, e in points:
+        try:
+            exact = kit.exact_value(dx, e)
+        except AdmissibilityError as err:
             rep.add("u-resolve", "quadratic-expansion-primal", math.nan, math.nan,
-                    math.nan, True, f"skipped: {note}")
+                    math.nan, True, f"skipped: {err}")
             resid_u.append(math.nan)
             continue
-        step = np.array([dx, e])
-        quad = u0 + ex.gradient_u @ step + 0.5 * step @ ex.hessian_u @ step
-        r = abs(exact - quad) / (dx * dx + e * e)
+        r = abs(exact - kit.quadratic_prediction(dx, e)) / (dx * dx + e * e)
         resid_u.append(r)
         rep.add(f"u-quad-residual@{math.hypot(dx, e):.6g}", "quadratic-expansion-primal",
                 r, 0.0, r, True)
     _decay_check(rep, "u-expansion-decay", "quadratic-expansion-primal",
                  resid_u, c.expansion_decay, c.floor)
 
-    def v_point(pt):
-        dy, e = pt
-        yt = y + dy
-        # the bracketing, brentq and the dual at the root revisit the same
-        # wealths: solve each one once
-        solved = {}
-
-        def primal_at(xx):
-            if xx not in solved:
-                solved[xx] = solve_primal(m, u, xx, e)
-            return solved[xx]
-
-        try:
-            def marg(xx):
-                return primal_at(xx).marginal - yt
-            lo = hi = x
-            for _ in range(200):
-                if marg(lo) >= 0.0:
-                    break
-                lo *= 0.5
-            for _ in range(200):
-                if marg(hi) <= 0.0:
-                    break
-                hi *= 2.0
-            xs = x if lo == hi else brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            return solve_dual(primal_at(xs)).value, ""
-        except AdmissibilityError as err:
-            return None, str(err)
-
-    exact_v = _pmap(v_point, points)
     resid_v = []
-    for (dy, e), (exact, note) in zip(points, exact_v):
-        if exact is None:
+    for dy, e in points:
+        try:
+            exact = _dual_value(ex, dy, e)
+        except AdmissibilityError:
             resid_v.append(math.nan)
             continue
         step = np.array([dy, e])
@@ -316,17 +319,10 @@ def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
                  resid_v, c.expansion_decay, c.floor)
 
     rel = aux_relation_report(ex)
-    rep.add("aux-value-identities", "aux-cross-identities",
-            float(np.max(np.abs(rel.value_identities))), 0.0,
-            float(np.max(np.abs(rel.value_identities))),
-            float(np.max(np.abs(rel.value_identities))) <= c.tol)
-    rep.add("aux-optimizer-relations", "aux-cross-identities",
-            max(rel.primal_optimizer, rel.dual_optimizer), 0.0,
-            max(rel.primal_optimizer, rel.dual_optimizer),
-            max(rel.primal_optimizer, rel.dual_optimizer) <= c.tol)
-    rep.add("aux-product-martingales", "aux-cross-identities",
-            rel.product_martingale, 0.0, rel.product_martingale,
-            rel.product_martingale <= c.tol)
+    for name, r in (("aux-value-identities", float(np.max(np.abs(rel.value_identities)))),
+                    ("aux-optimizer-relations", max(rel.primal_optimizer, rel.dual_optimizer)),
+                    ("aux-product-martingales", rel.product_martingale)):
+        rep.add(name, "aux-cross-identities", r, 0.0, r, r <= c.tol)
     return rep
 
 
@@ -338,7 +334,8 @@ def run_strategy_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
     rep = Report(title="strategy-campaign",
                  metadata={"model": partial(model_digest, m, c.utility), "x": x,
                            "grid_points": len(c.dx_grid)})
-    kit = StrategyKit(base if base is not None else expansion_report(m, c.utility, x))
+    kit = StrategyKit(base if base is not None else expansion_report(m, c.utility, x),
+                      _solve_cache=c._exact)
 
     residuals, levels = [], []
     for dx, e in zip(c.dx_grid, c.eps_grid):

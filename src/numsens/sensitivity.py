@@ -282,9 +282,14 @@ def optimizer_derivatives(optimum: Optimum, M0, M1, N0, N1, F):
 
 def expansion_report(m: MarketModel, utility: Utility, x: float, *,
                      optimum: Optimum = None) -> ExpansionReport:
-    """Full second-order expansion of both value functions at (x, 0)."""
+    """Full second-order expansion of both value functions at (x, 0).  A
+    supplied optimum must be the eps = 0 pair of this model, utility and x."""
     if optimum is None:
         optimum = solve_pair(m, utility, x, 0.0)
+    given = optimum.primal
+    if given.model is not m or given.utility != utility or given.x != x or given.eps != 0.0:
+        raise ContractViolationError(f"the optimum at x={given.x!r}, eps={given.eps!r} is not "
+                                     f"the eps = 0 pair of this market and utility at x={x!r}")
     basis = build_bases(optimum)
     stats = perturbation_statistics(m)
     F, G = stats.F, stats.G

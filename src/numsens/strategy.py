@@ -208,6 +208,7 @@ class StrategyKit:
 
     expansion: ExpansionReport
     _level_cache: dict = field(default_factory=dict, repr=False)
+    # exact values by (dx, eps); a campaign passes its own
     _solve_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -233,16 +234,13 @@ class StrategyKit:
     def level_data(self, n: int):
         """(gamma0, gamma1, truncation results) at level n, cached."""
         if n not in self._level_cache:
-            basis = self.expansion.basis
-            m0 = AdaptedProcess(self.model.tree,
-                                basis.expand_process("primal", self.expansion.M0.coeffs))
-            m1 = AdaptedProcess(self.model.tree,
-                                basis.expand_process("primal", self.expansion.M1.coeffs))
-            t0 = truncate_localize(m0, n)
-            t1 = truncate_localize(m1, n)
-            g0 = represent_martingale(t0.process / self.x, self.model, self.pi_hat)
-            g1 = represent_martingale(t1.process / self.x, self.model, self.pi_hat)
-            self._level_cache[n] = (g0.gamma, g1.gamma, t0, t1)
+            ex, tree = self.expansion, self.model.tree
+            martingales = (AdaptedProcess(tree, ex.basis.expand_process("primal", M.coeffs))
+                           for M in (ex.M0, ex.M1))
+            t0, t1 = (truncate_localize(M, n) for M in martingales)
+            g0, g1 = (represent_martingale(t.process / self.x, self.model, self.pi_hat).gamma
+                      for t in (t0, t1))
+            self._level_cache[n] = (g0, g1, t0, t1)
         return self._level_cache[n]
 
     def admissible_radius(self, n: int):
@@ -296,11 +294,10 @@ class StrategyKit:
     # -- value-matching residual and level selection -------------------------
 
     def exact_value(self, dx: float, eps: float) -> float:
-        key = (round(dx, 18), round(eps, 18))
-        if key not in self._solve_cache:
-            sol = solve_primal(self.model, self.utility, self.x + dx, eps)
-            self._solve_cache[key] = sol.value
-        return self._solve_cache[key]
+        if (dx, eps) not in self._solve_cache:
+            self._solve_cache[dx, eps] = solve_primal(self.model, self.utility,
+                                                      self.x + dx, eps).value
+        return self._solve_cache[dx, eps]
 
     def quadratic_prediction(self, dx: float, eps: float) -> float:
         rep = self.expansion

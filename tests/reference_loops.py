@@ -3,12 +3,16 @@
 Each function walks the internal nodes (or their children) one at a time,
 as the library did before its passes were stacked over sibling groups.
 They are slow and obviously correct, and serve as oracles in
-`test_stacked_passes.py` and `test_tree.py`."""
+`test_stacked_passes.py` and `test_tree.py`.  `naive_dual_value` is the
+campaign's dual re-solve as it was before its bracket was seeded, the
+oracle of `test_harness.py`."""
 
 import numpy as np
+from scipy.optimize import brentq
 
 from numsens.errors import InvariantViolationError, RepresentationError
 from numsens.market import perturbed_prices
+from numsens.solver import solve_dual, solve_primal
 from numsens.strategy import discount_direction
 
 
@@ -209,3 +213,28 @@ def naive_first_negative(tree, N):
             if N[child] < 0.0:
                 return n, float(N[child])
     return None
+
+
+def naive_dual_value(m, utility, x, yt, eps):
+    """(v(yt, eps), number of primal solves): the primal re-solved at the
+    wealth whose marginal is yt, bracketed from x by halving and doubling,
+    then `brentq` and the dual at the root, each wealth solved once."""
+    solved = {}
+
+    def marg(xx):
+        if xx not in solved:
+            solved[xx] = solve_primal(m, utility, xx, eps)
+        return solved[xx].marginal - yt
+
+    lo = hi = x
+    for _ in range(200):
+        if marg(lo) >= 0.0:
+            break
+        lo *= 0.5
+    for _ in range(200):
+        if marg(hi) <= 0.0:
+            break
+        hi *= 2.0
+    xs = x if lo == hi else brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    marg(xs)
+    return solve_dual(solved[xs]).value, len(solved)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -22,6 +23,7 @@ from numsens.errors import ContractViolationError
 from numsens.market import save_market
 from numsens.preferences import log_utility, mixture_utility
 from numsens.tree import AdaptedProcess
+from reference_loops import naive_dual_value
 
 
 def test_campaign_validates_grid(t1, logu):
@@ -175,13 +177,13 @@ _MODULES = (harness, solver, sensitivity, strategy, risktol)
 
 
 def _count_calls(monkeypatch, name):
-    """Record the (args, kwargs) of every call of the library function
-    `name`, wherever a module looks it up."""
+    """Record the (args, kwargs, thread id) of every call of the library
+    function `name`, wherever a module looks it up."""
     calls = []
     original = getattr(solver, name, None) or getattr(sensitivity, name)
 
     def counting(*args, **kwargs):
-        calls.append((args, kwargs))
+        calls.append((args, kwargs, threading.get_ident()))
         return original(*args, **kwargs)
 
     for mod in _MODULES:
@@ -193,7 +195,7 @@ def _count_calls(monkeypatch, name):
 def _solve_points(calls):
     """(x, eps) of each recorded solve_primal call."""
     return [(float(a[2]), float(a[3] if len(a) > 3 else kw.get("eps", 0.0)))
-            for a, kw in calls]
+            for a, kw, _ in calls]
 
 
 def test_expansion_campaign_builds_one_space_and_solves_each_point_once(
@@ -214,6 +216,31 @@ def test_verify_all_solves_the_base_pair_and_expansion_once(monkeypatch, t1, mix
     assert len(spaces) == 1
     assert _solve_points(solves).count((1.0, 0.0)) == 1
     assert len(expansions) == 1
+
+
+def test_verify_all_solves_each_point_once_on_the_calling_thread(monkeypatch, twop, halfpow):
+    # the expansion and strategy campaigns share their grid points' solves
+    solves = _count_calls(monkeypatch, "solve_primal")
+    verify_all(twop, halfpow, 1.0, k_range=range(3, 6))
+    points = _solve_points(solves)
+    assert len(points) == len(set(points))
+    assert {thread for _, _, thread in solves} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir"])
+@pytest.mark.parametrize("utility", ["logu", "halfpow", "mix"])
+def test_seeded_dual_resolve_matches_the_wide_bracket(monkeypatch, request, market, utility):
+    m, u = request.getfixturevalue(market), request.getfixturevalue(utility)
+    ex = sensitivity.expansion_report(m, u, 1.0)
+    camp = dyadic_campaign(m, u, 1.0, k_range=range(3, 9))
+    solves = _count_calls(monkeypatch, "solve_primal")
+    for dy, e in zip(camp.dx_grid, camp.eps_grid):
+        want, oracle_solves = naive_dual_value(m, u, 1.0, ex.y + dy, e)
+        solves.clear()
+        got = harness._dual_value(ex, dy, e)
+        # v = u - x y: its rounding is relative to the larger of v and x y
+        assert abs(got - want) <= 1e-14 * max(abs(want), 1.0 * (ex.y + dy))
+        assert len(solves) <= oracle_solves
 
 
 def test_one_model_builds_its_space_once_across_reports(monkeypatch, twop, halfpow):

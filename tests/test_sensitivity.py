@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from numsens.errors import ContractViolationError
+from numsens.instances import asymmetric_trinomial_market
 from numsens.market import perturbation_statistics
 from numsens.sensitivity import (
     NodeVectors,
@@ -16,6 +18,17 @@ from numsens.sensitivity import (
 from numsens.solver import solve_pair, solve_primal
 
 from conftest import fd_hessian_fit
+
+
+def test_expansion_rejects_an_optimum_of_another_problem(asym, halfpow, logu):
+    opt = solve_pair(asym, halfpow, 1.0)
+    with pytest.raises(ContractViolationError):
+        expansion_report(asym, halfpow, 2.0, optimum=opt)
+    for m, u, eps in ((asymmetric_trinomial_market(), halfpow, 0.0), (asym, logu, 0.0),
+                      (asym, halfpow, 0.125)):
+        with pytest.raises(ContractViolationError):
+            expansion_report(m, u, 1.0, optimum=solve_pair(asym, halfpow, 1.0, eps))
+    assert expansion_report(asym, halfpow, 1.0, optimum=opt).optimum is opt
 
 
 def test_basis_dimensions(binom, t1, logu):
