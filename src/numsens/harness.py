@@ -55,7 +55,10 @@ from .tree import (
     stochastic_integral,
 )
 
-DEFAULT_FLOOR = 1e-9
+# residuals at or below this floor count as solver noise in the decay checks
+DECAY_FLOOR = 1e-9
+# the value-matching residual ratio of the constructed wealths per halving
+STRATEGY_DECAY = 2.0
 
 
 def _fmt(v) -> str:
@@ -172,12 +175,10 @@ class Campaign:
     dx_grid: tuple
     eps_grid: tuple
     n_budget: int = 64
-    floor: float = DEFAULT_FLOOR
     tol: float = 1e-8
     # the expansion residual ratio tends to 2 (from either side) at finite
     # radius; 1.8 is the same slack the optimizer-derivative decay uses
     expansion_decay: float = 1.8
-    strategy_decay: float = 2.0
     # u(x + dx, eps) by grid point: both campaigns' kits read and fill it, so
     # each point is solved once
     _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -185,8 +186,8 @@ class Campaign:
     def __post_init__(self):
         if len(self.dx_grid) != len(self.eps_grid):
             raise ContractViolationError("dx and eps grids must pair up")
-        if self.floor <= 0.0 or self.tol <= 0.0:
-            raise ContractViolationError("tolerances must be positive")
+        if self.tol <= 0.0:
+            raise ContractViolationError("the tolerance must be positive")
         for dx, e in zip(self.dx_grid, self.eps_grid):
             if self.x + dx <= 0.0 or abs(e) >= self.model.eps0:
                 raise ContractViolationError(
@@ -300,7 +301,7 @@ def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
         rep.add(f"u-quad-residual@{math.hypot(dx, e):.6g}", "quadratic-expansion-primal",
                 r, 0.0, r, True)
     _decay_check(rep, "u-expansion-decay", "quadratic-expansion-primal",
-                 resid_u, c.expansion_decay, c.floor)
+                 resid_u, c.expansion_decay, DECAY_FLOOR)
 
     resid_v = []
     for dy, e in points:
@@ -316,7 +317,7 @@ def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
         rep.add(f"v-quad-residual@{math.hypot(dy, e):.6g}", "quadratic-expansion-dual",
                 r, 0.0, r, True)
     _decay_check(rep, "v-expansion-decay", "quadratic-expansion-dual",
-                 resid_v, c.expansion_decay, c.floor)
+                 resid_v, c.expansion_decay, DECAY_FLOOR)
 
     rel = aux_relation_report(ex)
     for name, r in (("aux-value-identities", float(np.max(np.abs(rel.value_identities)))),
@@ -346,7 +347,7 @@ def run_strategy_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
         rep.add(f"match-residual@{math.hypot(dx, e):.6g}", "second-order-value-matching",
                 r, 0.0, abs(r), True, f"level {n}")
     _decay_check(rep, "match-residual-decay", "second-order-value-matching",
-                 residuals, c.strategy_decay, c.floor)
+                 residuals, STRATEGY_DECAY, DECAY_FLOOR)
     rep.add("selected-levels-monotone", "level-selection-rule",
             float(levels[-1]), float(levels[0]), 0.0,
             all(levels[i] <= levels[i + 1] for i in range(len(levels) - 1)),

@@ -180,8 +180,8 @@ def recovery_residual(dec: GKWDecomposition, rep: ExpansionReport,
     and measure."""
     opt = rep.optimum
     Xv = opt.primal.wealth.values
-    m1 = rep.basis.expand_process("primal", rep.M1.coeffs)
-    n1 = rep.basis.expand_process("dual", rep.N1.coeffs)
+    m1 = rep.basis.primal_plan.process(rep.M1.coeffs)
+    n1 = rep.basis.dual_plan.process(rep.N1.coeffs)
     lhs_m = dec.M_component.values
     rhs_m = (Xv / rt.process.values) * m1
     lhs_n = dec.N_component.values

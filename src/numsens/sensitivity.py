@@ -5,12 +5,13 @@ Everything here lives under the pricing measure with leaf density
 is spanned, node by node, by the one-step increments of the prices
 discounted by the optimal wealth; its product-orthogonal complement is the
 per-node orthocomplement inside the zero-conditional-mean space.  The six
-auxiliary quadratic problems are weighted least squares over those spans,
-solved by the tree-elimination kernel on the plans each `MartingaleBasis`
-builds once (`Phi` and `Psi` are views built on access, read by no solve);
-gradients and Hessians of the value functions are assembled from their
-values; the optimizer terminal derivatives come from the auxiliary
-optimizers.
+auxiliary quadratic problems are weighted least squares over those spans.
+A `MartingaleBasis` holds each span only as its `tree.BlockPlan`, on which
+the tree-elimination kernel solves them (`Phi` and `Psi` are views built on
+access, read by no solve); one routine serves both sides, the dual pair
+being the primal pair on the complement at -y with -G.  Gradients and
+Hessians of the value functions are assembled from their values; the
+optimizer terminal derivatives come from the auxiliary optimizers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import ContractViolationError
 from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .solver import Optimum, solve_pair
-from .tree import BlockPlan, EventTree, payoff_matrix
+from .tree import BlockPlan, EventTree
 
 _ORTH_TOL = 1e-12
 
@@ -34,29 +35,15 @@ _ORTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class NodeVectors:
-    node: int
-    vectors: np.ndarray          # (n_children, dim) increments over the children
-
-
-@dataclass(frozen=True)
 class MartingaleBasis:
     """Per-node spans of the hedgeable space and its complement under the
-    pricing measure, each with the plan the elimination kernel runs on."""
+    pricing measure, each held as the plan the elimination kernel runs on."""
 
     tree: EventTree
     weights: np.ndarray = field(repr=False)          # pricing-measure leaf weights
     child_weights: np.ndarray = field(repr=False)    # node -> its conditional probability
-    primal_nodes: list = field(repr=False)           # list[NodeVectors]
-    dual_nodes: list = field(repr=False)
-    primal_slices: dict = field(repr=False)
-    dual_slices: dict = field(repr=False)
-    primal_plan: BlockPlan = field(init=False, repr=False, compare=False)
-    dual_plan: BlockPlan = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "primal_plan", BlockPlan(self.tree, self.blocks("primal")))
-        object.__setattr__(self, "dual_plan", BlockPlan(self.tree, self.blocks("dual")))
+    primal_plan: BlockPlan = field(repr=False, compare=False)
+    dual_plan: BlockPlan = field(repr=False, compare=False)
 
     @property
     def primal_dim(self):
@@ -69,26 +56,12 @@ class MartingaleBasis:
     @property
     def Phi(self) -> np.ndarray:
         """(n_leaves, primal_dim) payoff matrix, built on each access."""
-        return payoff_matrix(self.tree, self.blocks("primal"), self.primal_dim)
+        return self.primal_plan.payoff_matrix()
 
     @property
     def Psi(self) -> np.ndarray:
         """(n_leaves, dual_dim) payoff matrix, built on each access."""
-        return payoff_matrix(self.tree, self.blocks("dual"), self.dual_dim)
-
-    def blocks(self, side: str) -> list:
-        """(node, first column, vectors) of one side's spans."""
-        if side == "primal":
-            return _blocks(self.primal_nodes, self.primal_slices)
-        return _blocks(self.dual_nodes, self.dual_slices)
-
-    def expand_process(self, side: str, coeffs: np.ndarray) -> np.ndarray:
-        """Node values of the martingale with the given basis coefficients."""
-        return (self.primal_plan if side == "primal" else self.dual_plan).process(coeffs)
-
-
-def _blocks(nodes, slices):
-    return [(nv.node, slices[nv.node].start, nv.vectors) for nv in nodes]
+        return self.dual_plan.payoff_matrix()
 
 
 def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> MartingaleBasis:
@@ -122,23 +95,9 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
                 )
             primal_at.update(zip(at, P))
             dual_at.update(zip(at, Dv))
-
-    primal_nodes, dual_nodes = [], []
-    primal_slices, dual_slices = {}, {}
-    pcol = dcol = 0
-    for node in tree.internal_nodes.tolist():
-        P, Dv = primal_at[node], dual_at[node]
-        if P.shape[1]:
-            primal_nodes.append(NodeVectors(node, P))
-            primal_slices[node] = slice(pcol, pcol + P.shape[1])
-            pcol += P.shape[1]
-        if Dv.shape[1]:
-            dual_nodes.append(NodeVectors(node, Dv))
-            dual_slices[node] = slice(dcol, dcol + Dv.shape[1])
-            dcol += Dv.shape[1]
     return MartingaleBasis(tree=tree, weights=r, child_weights=child_w,
-                           primal_nodes=primal_nodes, dual_nodes=dual_nodes,
-                           primal_slices=primal_slices, dual_slices=dual_slices)
+                           primal_plan=BlockPlan(tree, primal_at),
+                           dual_plan=BlockPlan(tree, dual_at))
 
 
 def build_bases(optimum: Optimum) -> MartingaleBasis:
@@ -169,9 +128,18 @@ class AuxSolution:
 def solve_aux_primal(basis: MartingaleBasis, x: float, F, G, A_leaf):
     """The two quadratic problems over the hedgeable span and the mixed
     second-order coefficient evaluated at their optimizers."""
-    r = basis.weights
-    plan = basis.primal_plan
-    leaves = basis.tree.leaves
+    return _solve_aux(basis.weights, basis.primal_plan, x, F, G, A_leaf)
+
+
+def solve_aux_dual(basis: MartingaleBasis, y: float, F, G, B_leaf):
+    """Mirror problems over the complement span with risk-tolerance weights,
+    e.g. E[B(N-yF)^2 + 2yF N]: the primal problems on the dual plan at -y
+    with -G, whose sign flips are exact in floating point."""
+    return _solve_aux(basis.weights, basis.dual_plan, -y, F, -np.asarray(G, dtype=float), B_leaf)
+
+
+def _solve_aux(r, plan, x, F, G, A_leaf):
+    leaves = plan.tree.leaves
     A_leaf = np.asarray(A_leaf, dtype=float)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -191,32 +159,6 @@ def solve_aux_primal(basis: MartingaleBasis, x: float, F, G, A_leaf):
     a_xe = float(r @ (-x * F * (1.0 + M0)
                       + A_leaf * (x * F + M1) * (1.0 + M0)))
     return (AuxSolution(a_xx, M0, b0, d0), AuxSolution(a_ee, M1, beta1, d1), a_xe)
-
-
-def solve_aux_dual(basis: MartingaleBasis, y: float, F, G, B_leaf):
-    """Mirror problems over the complement span with risk-tolerance weights."""
-    r = basis.weights
-    plan = basis.dual_plan
-    leaves = basis.tree.leaves
-    B_leaf = np.asarray(B_leaf, dtype=float)
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    w = r * B_leaf
-
-    n0, b0, d0 = plan.solve(w, -np.ones_like(F), 0.0)
-    N0 = n0[leaves]
-    b_yy = float(w @ (1.0 + N0) ** 2)
-
-    # stationarity of E[B(N-yF)^2 + 2yF N]: Psi' (rB) Psi b = y Psi' r (B-1) F
-    rhs = y * (r * (B_leaf - 1.0) * F)
-    n1, beta1, d1 = plan.solve(w, rhs / np.maximum(w, 1e-300), 0.0)
-    N1 = n1[leaves]
-    b_ee = float(w @ (N1 - y * F) ** 2 + 2.0 * y * (r * F) @ N1
-                 - y * y * r @ (F * F - G))
-
-    b_ye = float(r @ (y * F * (1.0 + N0)
-                      + B_leaf * (-y * F + N1) * (1.0 + N0)))
-    return (AuxSolution(b_yy, N0, b0, d0), AuxSolution(b_ee, N1, beta1, d1), b_ye)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +295,10 @@ def aux_relation_report(rep: ExpansionReport) -> AuxRelationReport:
     p = tree.leaf_prob
     Xv = opt.primal.wealth.values
     Yv = opt.dual.deflator.values
-    m0 = rep.basis.expand_process("primal", rep.M0.coeffs)
-    m1 = rep.basis.expand_process("primal", rep.M1.coeffs)
-    n0 = rep.basis.expand_process("dual", rep.N0.coeffs)
-    n1 = rep.basis.expand_process("dual", rep.N1.coeffs)
+    m0 = rep.basis.primal_plan.process(rep.M0.coeffs)
+    m1 = rep.basis.primal_plan.process(rep.M1.coeffs)
+    n0 = rep.basis.dual_plan.process(rep.N0.coeffs)
+    n1 = rep.basis.dual_plan.process(rep.N1.coeffs)
     worst = 0.0
     for left in (Xv * m0, Xv * m1, Xv):
         for right in (Yv * n0, Yv * n1, Yv):

@@ -39,13 +39,7 @@ from .errors import (
 )
 from .market import MarketModel, numeraire, perturbed_prices
 from .preferences import Utility
-from .tree import (
-    AdaptedProcess,
-    BlockPlan,
-    EventTree,
-    PredictableProcess,
-    payoff_matrix,
-)
+from .tree import AdaptedProcess, BlockPlan, EventTree, PredictableProcess
 
 _RANK_TOL = 1e-12
 _ARB_TOL = 1e-11
@@ -78,7 +72,7 @@ class AttainableSpace:
     def W(self) -> np.ndarray:
         """(n_leaves, dim) payoff matrix, built on each access; only the
         risk-tolerance replication reads it."""
-        return payoff_matrix(self.tree, self.plan.blocks(), self.dim)
+        return self.plan.payoff_matrix()
 
 
 def _one_step_arbitrage(D: np.ndarray) -> bool:
@@ -135,12 +129,8 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
         redundant.extend(nodes[ranks < min(D.shape[1:])].tolist())
         for node, u_node, rank in zip(nodes.tolist(), u_, ranks.tolist()):
             if rank:
-                directions[node] = u_node[:, :rank].copy()
-    blocks, col = [], 0
-    for node in sorted(directions):
-        blocks.append((node, col, directions[node]))
-        col += directions[node].shape[1]
-    return AttainableSpace(tree=tree, complete=complete, plan=BlockPlan(tree, blocks),
+                directions[node] = u_node[:, :rank]
+    return AttainableSpace(tree=tree, complete=complete, plan=BlockPlan(tree, directions),
                            redundant_nodes=tuple(sorted(redundant)))
 
 

@@ -33,6 +33,7 @@ from .tree import AdaptedProcess, PredictableProcess, stochastic_exponential, st
 
 _REPR_TOL = 1e-10
 _FLOOR_ABS = 1e-12    # absolute value-solve floor feeding the probe allowance
+_PROBE_DEPTH = 6      # halvings below the top probe radius in level selection
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ class StrategyKit:
         """(gamma0, gamma1, truncation results) at level n, cached."""
         if n not in self._level_cache:
             ex, tree = self.expansion, self.model.tree
-            martingales = (AdaptedProcess(tree, ex.basis.expand_process("primal", M.coeffs))
+            martingales = (AdaptedProcess(tree, ex.basis.primal_plan.process(M.coeffs))
                            for M in (ex.M0, ex.M1))
             t0, t1 = (truncate_localize(M, n) for M in martingales)
             g0, g1 = (represent_martingale(t.process / self.x, self.model, self.pi_hat).gamma
@@ -322,8 +323,7 @@ class StrategyKit:
         h2 = dx * dx + eps * eps
         return (self.exact_value(dx, eps) - self.construction_utility(dx, eps, n)) / h2
 
-    def select_level(self, dx: float, eps: float, budget: int = 64,
-                     probe_depth: int = 6) -> int:
+    def select_level(self, dx: float, eps: float, budget: int = 64) -> int:
         """Smallest level passing the inverse-radius rule: a dyadic probe
         ladder along the requested direction measures the residual envelope
         g(n) (max over the two smallest probes) and the largest validated
@@ -344,7 +344,7 @@ class StrategyKit:
                 continue
             top = 0.5 * min(explicit,
                             0.5 * self.x / abs(ux) if ux < 0.0 else math.inf)
-            radii = [top * 2.0**-j for j in range(probe_depth + 1)]
+            radii = [top * 2.0**-j for j in range(_PROBE_DEPTH + 1)]
             f_at = [abs(self.matching_residual(rr * ux, rr * ue, n)) for rr in radii]
             g_hat = max(f_at[-1], f_at[-2])
             r_hat = 0.0

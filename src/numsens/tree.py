@@ -12,7 +12,12 @@ order branches were declared), so every parent index is smaller than its
 children and reports are bit-reproducible.  Computations run on whole node
 arrays, not node by node: `EventTree.cumulate` passes down from the root,
 `aggregate` up from the leaves and `sibling_sum` one level up, and per-node
-linear algebra is stacked over `branch_groups` or over a `BlockPlan`.
+linear algebra is stacked over `branch_groups` or over a `BlockPlan`.  A
+`BlockPlan` is the one representation of a span of one-step increments (the
+attainable payoffs, and each side of a martingale basis): built from a
+mapping of node to block, it runs the least-squares elimination, expands
+coefficients into a process, pairs leaf values with its columns and builds
+the dense payoff matrix when asked.
 """
 
 from __future__ import annotations
@@ -336,22 +341,9 @@ def quadratic_covariation(X: AdaptedProcess, Y: AdaptedProcess) -> AdaptedProces
 # processes and payoffs spanned by per-node blocks
 # ---------------------------------------------------------------------------
 #
-# A block (node, first column, V) spans one-step increments over the node's
-# children: V has shape (children, rank), and coefficient first + k moves
-# the r-th child by V[r, k].
-
-
-def payoff_matrix(tree: EventTree, blocks, n_cols: int) -> np.ndarray:
-    """(n_leaves, n_cols) terminal values of the blocks' columns: column
-    first + k of a block pays V[r, k] on the leaves below its r-th child."""
-    M = np.zeros((tree.n_leaves, n_cols))
-    for node, col, V in blocks:
-        # breadth-first numbering: the leaves below a node are a contiguous
-        # run and its children have consecutive ids
-        t = tree.time[node]
-        lo, hi = np.searchsorted(tree.ancestors[:, t], [node, node + 1])
-        M[lo:hi, col:col + V.shape[1]] = V[tree.ancestors[lo:hi, t + 1] - tree.children[node][0]]
-    return M
+# A span is a mapping from internal node to its block V, of shape (children,
+# rank): the block's k-th column moves the node's r-th child by V[r, k].
+# Columns are numbered in node order, a node's block taking the next rank.
 
 
 class BlockPlan:
@@ -361,35 +353,38 @@ class BlockPlan:
     are grouped by level and rank; within a group the children are padded
     to the group's largest branch count with a sentinel node (id n_nodes)
     that carries zero weight, so one stacked computation serves each
-    group.  Groups are ordered by level, root first."""
+    group.  Groups are ordered by level, root first.  The plan keeps no
+    per-node objects: the blocks live only stacked in the groups."""
 
-    def __init__(self, tree: EventTree, blocks):
+    def __init__(self, tree: EventTree, spans):
         self.tree = tree
-        by_node = {node: (col, V) for node, col, V in blocks}
-        self.n_cols = sum(V.shape[1] for _, _, V in blocks)
-        self.col_node = np.zeros(self.n_cols, dtype=np.int64)
+        ranks = np.zeros(tree.n_nodes, dtype=np.int64)
+        for node, V in spans.items():
+            ranks[node] = V.shape[1]
+        first_col = np.cumsum(ranks) - ranks
+        self.n_cols = int(ranks.sum())
+        self.col_node = np.repeat(np.arange(tree.n_nodes), ranks)
         buckets = {}
         for node in tree.internal_nodes.tolist():
-            col, V = by_node.get(node, (0, np.zeros((len(tree.children[node]), 0))))
-            self.col_node[col:col + V.shape[1]] = node
-            buckets.setdefault((tree.time[node], V.shape[1]), []).append((node, col, V))
+            buckets.setdefault((tree.time[node], ranks[node]), []).append(node)
         self.groups = []
-        for (_, r), members in sorted(buckets.items()):
-            nodes = np.array([node for node, _, _ in members])
-            cols = np.array([col for _, col, _ in members])[:, None] + np.arange(r)
+        for (_, r), nodes in sorted(buckets.items()):
+            nodes = np.array(nodes)
+            cols = first_col[nodes, None] + np.arange(r)
             branches = tree.n_children[nodes]
             k = int(branches.max())
             children = tree.first_child[nodes, None] + np.arange(k)
             children[np.arange(k) >= branches[:, None]] = tree.n_nodes
             V = np.zeros((len(nodes), k, r))
-            for kk in np.unique(branches).tolist():
+            # a node of rank 0 may be missing from the spans
+            for kk in np.unique(branches).tolist() if r else ():
                 at = np.flatnonzero(branches == kk)
-                V[at, :kk] = np.stack([members[i][2] for i in at.tolist()])
+                V[at, :kk] = np.stack([spans[node] for node in nodes[at].tolist()])
             self.groups.append((nodes, children, cols, V))
 
     def blocks(self) -> list:
-        """The (node, first column, V) blocks the plan was built from, in
-        node order, with V unpadded."""
+        """The (node, first column, V) blocks of the span, in node order,
+        with V unpadded: the input the dense test oracles read."""
         out = []
         for nodes, _children, cols, V in self.groups:
             if cols.shape[1]:
@@ -397,10 +392,28 @@ class BlockPlan:
                            (v[:k] for v, k in zip(V, self.tree.n_children[nodes].tolist())))
         return sorted(out)
 
+    def payoff_matrix(self) -> np.ndarray:
+        """(n_leaves, n_cols) terminal values of the columns: a node's
+        column k pays V[r, k] on the leaves below its r-th child."""
+        tree = self.tree
+        M = np.zeros((tree.n_leaves, self.n_cols))
+        row = np.zeros(tree.n_nodes, dtype=np.int64)
+        for nodes, _children, cols, V in self.groups:
+            if cols.shape[1]:
+                t = tree.time[nodes[0]]
+                row[nodes] = np.arange(len(nodes))
+                # the leaves below the group's nodes, their node's row in the
+                # group and the branch taken out of it
+                below = np.flatnonzero(np.isin(tree.ancestors[:, t], nodes))
+                at = row[tree.ancestors[below, t]]
+                branch = tree.ancestors[below, t + 1] - tree.first_child[nodes[at]]
+                M[below[:, None], cols[at]] = V[at, branch]
+        return M
+
     def process(self, coeffs, start=0.0) -> np.ndarray:
         """Node values of start plus the blocks' increments weighted by
         coeffs, down from the root; its leaf values are
-        start + payoff_matrix(tree, blocks, n_cols) @ coeffs."""
+        start + self.payoff_matrix() @ coeffs."""
         inc = np.zeros(self.tree.n_nodes + 1)
         for _nodes, children, cols, V in self.groups:
             if cols.shape[1]:

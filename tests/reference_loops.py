@@ -184,7 +184,7 @@ def naive_proportions(tree, wealth, returns):
 def naive_hedge_split(basis, P):
     """(M values, N values, orthogonality defect) of the GKW projection."""
     tree = basis.tree
-    span_at = {nv.node: nv.vectors for nv in basis.primal_nodes}
+    span_at = {node: V for node, _, V in basis.primal_plan.blocks()}
     Mv = np.zeros(tree.n_nodes)
     Nv = np.zeros(tree.n_nodes)
     defect = 0.0

@@ -121,7 +121,7 @@ def test_vector_representation(m2deep):
     kit = StrategyKit(expansion_report(m2deep, MIX, 1.0))
     basis = kit.expansion.basis
     target = AdaptedProcess(m2deep.tree,
-                            basis.expand_process("primal", kit.expansion.M1.coeffs))
+                            basis.primal_plan.process(kit.expansion.M1.coeffs))
     rep = represent_martingale(target, m2deep, kit.pi_hat)
     recon = stochastic_integral(rep.gamma, discount_direction(m2deep, kit.pi_hat))
     assert np.max(np.abs(recon.values - target.values)) <= 1e-12

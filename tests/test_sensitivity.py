@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from numsens.errors import ContractViolationError
 from numsens.instances import asymmetric_trinomial_market
 from numsens.market import perturbation_statistics
+from numsens.preferences import power_utility
 from numsens.sensitivity import (
-    NodeVectors,
     aux_relation_report,
     build_bases,
     expansion_report,
@@ -16,8 +18,9 @@ from numsens.sensitivity import (
     solve_aux_primal,
 )
 from numsens.solver import solve_pair, solve_primal
+from numsens.tree import BlockPlan
 
-from conftest import fd_hessian_fit
+from conftest import fd_hessian_fit, make_random_tree
 
 
 def test_expansion_rejects_an_optimum_of_another_problem(asym, halfpow, logu):
@@ -43,17 +46,33 @@ def test_basis_martingale_and_orthogonality(twop, mix):
     r = basis.weights
     tree = basis.tree
     # every basis element has zero conditional mean and the cross Gram vanishes
-    for nv in basis.primal_nodes + basis.dual_nodes:
-        w = basis.child_weights[tree.children[nv.node]]
-        assert np.max(np.abs(w @ nv.vectors)) < 1e-12
+    blocks = basis.primal_plan.blocks() + basis.dual_plan.blocks()
+    for node, _, V in blocks:
+        w = basis.child_weights[tree.children[node]]
+        assert np.max(np.abs(w @ V)) < 1e-12
     gram = (basis.Phi * r[:, None]).T @ basis.Psi
     assert np.max(np.abs(gram)) < 1e-12
     # dimensions fill the one-step fluctuation space
     for node in tree.internal_nodes:
         k = len(tree.children[node])
-        p = sum(nv.vectors.shape[1] for nv in basis.primal_nodes if nv.node == node)
-        d = sum(nv.vectors.shape[1] for nv in basis.dual_nodes if nv.node == node)
-        assert p + d == k - 1
+        assert sum(V.shape[1] for at, _, V in blocks if at == node) == k - 1
+
+
+def test_basis_keeps_no_per_node_objects():
+    # a basis holds its spans only stacked in its plans: the objects it keeps
+    # alive that the garbage collector must scan do not grow with the tree
+    m = make_random_tree(1, depth=6)
+    basis = build_bases(solve_pair(m, power_utility(0.5), 1.0))
+    seen, stack = {}, [basis]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or obj is basis.tree or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    tracked = sum(gc.is_tracked(obj) for obj in seen.values())
+    assert tracked < len(m.tree.internal_nodes)
 
 
 def test_aux_hand_values_t1_log(t1, logu):
@@ -145,17 +164,16 @@ def test_span_invariance_of_aux_values(twop, mix):
     A = mix.rra(rep.optimum.primal.terminal)
     B = mix.rrt(rep.optimum.dual.terminal)
 
-    def block_mix(nodes):
+    def block_mix(plan):
         # an invertible change of each node's spanning vectors
-        out = []
-        for nv in nodes:
-            k = nv.vectors.shape[1]
-            M = rng.normal(size=(k, k)) + 3 * np.eye(k)
-            out.append(NodeVectors(nv.node, nv.vectors @ M))
-        return out
+        out = {}
+        for node, _, V in plan.blocks():
+            k = V.shape[1]
+            out[node] = V @ (rng.normal(size=(k, k)) + 3 * np.eye(k))
+        return BlockPlan(basis.tree, out)
 
-    mixed = dataclasses.replace(basis, primal_nodes=block_mix(basis.primal_nodes),
-                                dual_nodes=block_mix(basis.dual_nodes))
+    mixed = dataclasses.replace(basis, primal_plan=block_mix(basis.primal_plan),
+                                dual_plan=block_mix(basis.dual_plan))
     M0, M1, a_xe = solve_aux_primal(mixed, 1.0, stats.F, stats.G, A)
     N0, N1, b_ye = solve_aux_dual(mixed, rep.y, stats.F, stats.G, B)
     assert M0.value == pytest.approx(rep.a_xx, abs=1e-10)

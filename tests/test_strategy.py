@@ -94,7 +94,7 @@ def test_representation_roundtrip(twop, mix):
                                 twop, kit.pi_hat)
     assert np.all(zero.gamma.values == 0.0)
     target = AdaptedProcess(twop.tree,
-                            basis.expand_process("primal", kit.expansion.M1.coeffs))
+                            basis.primal_plan.process(kit.expansion.M1.coeffs))
     rep = represent_martingale(target, twop, kit.pi_hat)
     Rpi = discount_direction(twop, kit.pi_hat)
     recon = stochastic_integral(rep.gamma, Rpi)
@@ -106,7 +106,7 @@ def test_representation_rejects_unhedgeable(t1, logu):
     kit = StrategyKit(expansion_report(t1, logu, 1.0))
     # a dual-span martingale cannot be written as a trading integral
     bad = AdaptedProcess(t1.tree,
-                         kit.expansion.basis.expand_process("dual", np.array([1.0])))
+                         kit.expansion.basis.dual_plan.process(np.array([1.0])))
     with pytest.raises(RepresentationError):
         represent_martingale(bad, t1, kit.pi_hat)
 

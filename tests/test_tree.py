@@ -289,11 +289,11 @@ def test_payoff_matrix_matches_coefficient_process_bases(seed, dim):
     rng = np.random.default_rng(seed)
     basis = orthogonal_spans(tree, rng.normal(size=(tree.n_nodes, dim)),
                              rng.uniform(0.5, 1.5) * tree.leaf_prob)
-    for side, M in (("primal", basis.Phi), ("dual", basis.Psi)):
+    for plan, M in ((basis.primal_plan, basis.Phi), (basis.dual_plan, basis.Psi)):
         c = rng.normal(size=M.shape[1])
-        _check_blocks(tree, basis.blocks(side), M, c)
-        assert np.array_equal(basis.expand_process(side, c),
-                              naive_process_from_coefficients(tree, basis.blocks(side), c))
+        _check_blocks(tree, plan.blocks(), M, c)
+        assert np.array_equal(plan.process(c),
+                              naive_process_from_coefficients(tree, plan.blocks(), c))
 
 
 # ---------------------------------------------------------------------------
@@ -333,41 +333,49 @@ def exact_weighted_lsq(tree, blocks, n_cols, weights, target, start):
     return shift + fitted.astype(float)
 
 
-def random_blocks(tree, rng):
+def random_spans(tree, rng):
     """Blocks of random rank 0..k-1 (rank 0 for every single-child node):
     orthonormal one-step martingale increments, with zero mean under random
     positive child probabilities q, so that a constant start stays apart
     from every span as it does on a market."""
-    blocks, col = [], 0
+    spans = {}
     for node in tree.internal_nodes.tolist():
         k = len(tree.children[node])
         r = int(rng.integers(0, k))
         if r:
             q = rng.dirichlet(np.ones(k))
             A = rng.normal(size=(k, r))
-            blocks.append((node, col, np.linalg.qr(A - q @ A)[0]))
-            col += r
-    return blocks
+            spans[node] = np.linalg.qr(A - q @ A)[0]
+    return spans
 
 
 def _elimination_case(seed, kind):
     rng = np.random.default_rng(seed)
     if kind == "trinomial":
         m = make_random_tree(seed % 1000, depth=1 + seed % 4)
-        return m.tree, attainable_space(m).plan.blocks(), rng
+        return m.tree, attainable_space(m).plan, rng
     if kind == "two-asset":
         m = two_asset_market(depth=2)
-        return m.tree, attainable_space(m).plan.blocks(), rng
+        return m.tree, attainable_space(m).plan, rng
     tree = make_mixed_tree(seed)
-    return tree, random_blocks(tree, rng), rng
+    spans = random_spans(tree, rng)
+    plan = BlockPlan(tree, spans)
+    # the plan keeps each block as given and numbers the columns in node order
+    blocks, col = plan.blocks(), 0
+    assert [node for node, _, _ in blocks] == sorted(spans)
+    for node, first, V in blocks:
+        assert first == col and np.array_equal(V, spans[node])
+        col += V.shape[1]
+    assert col == plan.n_cols
+    return tree, plan, rng
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["trinomial", "two-asset", "random-blocks"]),
        st.sampled_from(["narrow", "wide", "zero-subtree"]), st.booleans())
 def test_elimination_matches_dense_oracle(seed, kind, spread, free_start):
-    tree, blocks, rng = _elimination_case(seed, kind)
-    plan = BlockPlan(tree, blocks)
+    tree, plan, rng = _elimination_case(seed, kind)
+    blocks = plan.blocks()
     L = tree.n_leaves
     if spread == "wide":
         # leaf weights spanning 12 decades
