@@ -265,8 +265,11 @@ def _newton_terminal(space, tree, p, N, x, utility):
         xi = Z / Nl
         du = utility.du(xi)
         leaf_grad = p * du / Nl
-        grad, rel = _foc_residual(space, leaf_grad, float(p @ (du / Nl)))
-        if rel <= _NEWTON_TOL:
+        scale = float(p @ (du / Nl))
+        grad, rel = _foc_residual(space, leaf_grad, scale)
+        # the residual in the wealth's own direction, |grad·alpha|/(x·y), is
+        # |sum of the pricing weights - 1|, which `pricing_measure` bounds
+        if rel <= _NEWTON_TOL and abs(float(grad @ alpha)) <= _NEWTON_TOL * x * scale:
             break
         curv = p * (-utility.d2u(xi)) / Nl**2
         # the Newton system W'·diag(curv)·W step = grad is the weighted least

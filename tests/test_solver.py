@@ -10,7 +10,7 @@ from numsens import solver
 from numsens.errors import InvariantViolationError, NoOptimizerError
 from numsens.instances import two_asset_market
 from numsens.market import MarketModel, numeraire
-from numsens.preferences import log_utility, power_utility
+from numsens.preferences import log_utility, mixture_utility, power_utility
 from numsens.sensitivity import expansion_report
 from numsens.solver import (
     attainable_space,
@@ -269,6 +269,19 @@ def test_space_is_independent_of_the_perturbation(seed, frac, x):
         assert own.model.space is not shared.model.space
         assert shared.value == own.value and shared.marginal == own.marginal
         assert np.array_equal(shared.wealth.values, own.wealth.values)
+
+
+@pytest.mark.parametrize("seed, utility", [
+    (1290, "log"), (1739, "log"), (1817, "log"), (2216, "log"), (2520, "log"),
+    (58352, "log"), (715622, "log"), (972530, "log"), (420, "power0.5"),
+    (2028, "power0.5"), (1134, "mixture"), (2520, "mixture")])
+def test_newton_stops_with_the_pricing_weights_summing_to_one(seed, utility):
+    # a Newton stop on the per-node residual alone left these pricing
+    # weights up to 3.7e-12 from summing to one, and solve_pair raised
+    u = {"log": log_utility(), "power0.5": power_utility(0.5),
+         "mixture": mixture_utility([(0.5, 0.5), (0.5, 0.0)])}[utility]
+    opt = solve_pair(make_random_tree(seed, depth=1 + seed % 3), u, 1.0)
+    assert abs(opt.r_weights.sum() - 1.0) <= 1e-12
 
 
 def test_solve_and_expansion_stay_below_the_dense_payoff_matrix():
