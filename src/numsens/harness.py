@@ -57,7 +57,7 @@ from .tree import (
 
 # residuals at or below this floor count as solver noise in the decay checks
 DECAY_FLOOR = 1e-9
-# the value-matching residual ratio of the constructed wealths per halving
+# factor by which the value-matching residual must shrink per radius halving
 STRATEGY_DECAY = 2.0
 
 

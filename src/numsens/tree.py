@@ -398,7 +398,7 @@ class BlockPlan:
         tree = self.tree
         M = np.zeros((tree.n_leaves, self.n_cols))
         row = np.zeros(tree.n_nodes, dtype=np.int64)
-        for nodes, _children, cols, V in self.groups:
+        for nodes, children, cols, V in self.groups:
             if cols.shape[1]:
                 t = tree.time[nodes[0]]
                 row[nodes] = np.arange(len(nodes))
@@ -406,7 +406,7 @@ class BlockPlan:
                 # group and the branch taken out of it
                 below = np.flatnonzero(np.isin(tree.ancestors[:, t], nodes))
                 at = row[tree.ancestors[below, t]]
-                branch = tree.ancestors[below, t + 1] - tree.first_child[nodes[at]]
+                branch = tree.ancestors[below, t + 1] - children[at, 0]
                 M[below[:, None], cols[at]] = V[at, branch]
         return M
 
