@@ -13,6 +13,14 @@ chain of small numpy calls that holds the interpreter lock most of the
 time, so threads cannot overlap them: on a 2-core host, six `verify_all`
 runs on 73- to 261-node trinomials took 9.6-10.3 s with a 4-thread pool
 and 6.0-6.5 s serially, with identical report bytes.
+
+Every re-solve of a grid point, and every solve of the dual value's
+root-find, starts Newton from the base expansion's first-order prediction
+of the optimum (`ExpansionReport.newton_start`), which needs a fraction of
+the steps a start from the riskless wealth does; a campaign run standalone
+holds the same expansion as one inside `verify_all`, so both start alike.
+The envelope check's +-h solves start cold: that check reads differences
+of values at the solves' noise floor, and warm solves moved its verdicts.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .market import (
 from .preferences import Utility, log_utility, power_utility
 from .risktol import gkw_decompose, hessian_from_gkw, recovery_residual, risk_tolerance
 from .sensitivity import ExpansionReport, aux_relation_report, expansion_report
-from .solver import Optimum, solve_dual, solve_pair, solve_primal, verify_deflator
+from .solver import Optimum, solve_pair, solve_primal, verify_deflator
 from .strategy import (
     StrategyKit,
     characteristics,
@@ -227,10 +235,12 @@ def _decay_check(report, name, anchor, residuals, factor, floor):
 
 
 def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
-    """v(y + dy, e) from an exact re-solve: the dual at the wealth whose
-    marginal is y + dy.  Since dv/dy = -x, the bracket starts around the
-    expansion's x0 = -(v_y + v_yy dy + v_ye e) and widens geometrically; the
-    marginal falls in the wealth, so a side that misses bounds the other."""
+    """v(y + dy, e) from exact re-solves: u(x) - x·(y + dy) at the wealth x
+    whose marginal is y + dy.  Since dv/dy = -x, the bracket starts around
+    the expansion's x0 = -(v_y + v_yy dy + v_ye e) and widens geometrically;
+    the marginal falls in the wealth, so a side that misses bounds the
+    other.  Each solve starts Newton from the expansion's first-order
+    prediction at its own wealth."""
     opt = ex.optimum
     m, u = opt.primal.model, opt.primal.utility
     yt = opt.y + dy
@@ -240,7 +250,7 @@ def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
 
     def primal_at(xx):
         if xx not in solved:
-            solved[xx] = solve_primal(m, u, xx, e)
+            solved[xx] = solve_primal(m, u, xx, e, start=ex.newton_start(xx, e))
         return solved[xx]
 
     def marg(xx):
@@ -261,7 +271,11 @@ def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
         else:
             break
     xs = brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return solve_dual(primal_at(xs)).value
+    # v(yt) = max over x of u(x) - x·yt, and u(x) - x·yt is stationary at
+    # the root: the root's error and Newton's (its stop leaves marginals off
+    # by up to its tolerance) enter only squared, while the dual value at the
+    # root, E[V(U'(X_T))], moves with the marginal at first order
+    return primal_at(xs).value - xs * yt
 
 
 def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:

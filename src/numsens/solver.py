@@ -152,6 +152,9 @@ class PrimalSolution:
     strategy: PredictableProcess       # proportions (bank first) in the perturbed market
     strategy_base: PredictableProcess  # proportions generating zwealth from the base returns
     foc_residual: float
+    # Newton's coefficients on `model.space.plan` (zwealth = x + W·coeffs);
+    # None on a complete tree, which runs no Newton
+    coeffs: np.ndarray = field(repr=False, default=None)
     diagnostics: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -250,17 +253,24 @@ def _foc_residual(space, leaf_grad, scale):
     return grad, float(np.max(np.abs(grad) / reach)) / max(scale, 1e-300)
 
 
-def _newton_terminal(space, tree, p, N, x, utility):
+def _newton_terminal(space, tree, p, N, x, utility, start):
+    """(leaf wealth Z, coefficients alpha, Newton steps) of the optimum,
+    starting from Z = x + W·start when that wealth is strictly positive and
+    from alpha = 0 otherwise."""
     Nl = N.values[tree.leaves]
     alpha = np.zeros(space.dim)
     Z = np.full(tree.n_leaves, float(x))
+    if start is not None:
+        Zs = space.plan.process(start, float(x))[tree.leaves]
+        if np.all(Zs > 0.0):
+            alpha, Z = np.array(start, dtype=float), Zs
 
     def objective(Zv):
         return float(p @ utility.u(Zv / Nl))
 
     f = objective(Z)
     rel = math.inf
-    tail = 0
+    tail = steps = 0
     for it in range(_NEWTON_MAX_ITER):
         xi = Z / Nl
         du = utility.du(xi)
@@ -275,6 +285,7 @@ def _newton_terminal(space, tree, p, N, x, utility):
         # the Newton system W'·diag(curv)·W step = grad is the weighted least
         # squares fit of the leaf payoffs to leaf_grad / curv
         moves, step, _ = space.plan.solve(curv, leaf_grad / curv, 0.0)
+        steps += 1
         Wd = moves[tree.leaves]
         neg = Wd < 0.0
         t = 1.0
@@ -315,13 +326,17 @@ def _newton_terminal(space, tree, p, N, x, utility):
     else:
         if rel > 1e-9:
             raise NumericalError(f"Newton did not converge: relative residual {rel:.3e}")
-    return Z, alpha
+    return Z, alpha, steps
 
 
-def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -> PrimalSolution:
+def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
+                 start: np.ndarray = None) -> PrimalSolution:
     """Exact maximizer of expected terminal utility at initial wealth x in
     the eps-perturbed market, on the attainable space the model shares
-    across its solves (`MarketModel.space`)."""
+    across its solves (`MarketModel.space`).  Newton starts from the
+    coefficients `start` on that space's plan when they give a strictly
+    positive wealth, and from alpha = 0 otherwise; its stop does not depend
+    on the start."""
     if x <= 0.0:
         raise ContractViolationError("initial wealth must be positive")
     tree = m.tree
@@ -334,9 +349,9 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -
     if complete:
         Z_leaf, Q = _complete_tree_terminal(space, tree, p, N, x, utility)
         Z_nodes = tree.conditional_expectation(Q[tree.leaves], Z_leaf)
-        alpha = None
+        alpha, steps = None, 0
     else:
-        Z_leaf, alpha = _newton_terminal(space, tree, p, N, x, utility)
+        Z_leaf, alpha, steps = _newton_terminal(space, tree, p, N, x, utility, start)
         Z_nodes = space.plan.process(alpha, float(x))
 
     if np.any(Z_nodes <= 0.0):
@@ -358,13 +373,13 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0) -
         strat = _proportions_from_wealth(tree, wealth, _returns_of_prices(tree, prices))
     # terminal wealth spread drives the conditioning of every identity built
     # on this solve; extreme ratios cap attainable double-precision accuracy
-    diag = {"complete": complete, "newton_dim": space.dim,
+    diag = {"complete": complete, "newton_dim": space.dim, "newton_iters": steps,
             "wealth_ratio": float(np.max(xi) / np.min(xi)),
             "redundant_nodes": list(space.redundant_nodes)}
     return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
                           value=value, marginal=y, wealth=wealth, zwealth=zwealth,
                           strategy=strat, strategy_base=strat_base,
-                          foc_residual=foc, diagnostics=diag)
+                          foc_residual=foc, coeffs=alpha, diagnostics=diag)
 
 
 def _returns_of_prices(tree, prices: AdaptedProcess) -> AdaptedProcess:

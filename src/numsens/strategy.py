@@ -295,9 +295,12 @@ class StrategyKit:
     # -- value-matching residual and level selection -------------------------
 
     def exact_value(self, dx: float, eps: float) -> float:
+        """u(x + dx, eps), re-solved from the expansion's first-order start."""
         if (dx, eps) not in self._solve_cache:
-            self._solve_cache[dx, eps] = solve_primal(self.model, self.utility,
-                                                      self.x + dx, eps).value
+            xx = self.x + dx
+            self._solve_cache[dx, eps] = solve_primal(
+                self.model, self.utility, xx, eps,
+                start=self.expansion.newton_start(xx, eps)).value
         return self._solve_cache[dx, eps]
 
     def quadratic_prediction(self, dx: float, eps: float) -> float:
