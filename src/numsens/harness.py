@@ -14,7 +14,8 @@ time, so threads cannot overlap them: on a 2-core host, six `verify_all`
 runs on 73- to 261-node trinomials took 9.6-10.3 s with a 4-thread pool
 and 6.0-6.5 s serially, with identical report bytes.
 
-Every re-solve of a grid point, and every solve of the dual value's
+Every tree, complete or not, solves by Newton on its attainable space's
+plan.  Every re-solve of a grid point, and every solve of the dual value's
 root-find, starts Newton from the base expansion's first-order prediction
 of the optimum (`ExpansionReport.newton_start`), which needs a fraction of
 the steps a start from the riskless wealth does; a campaign run standalone

@@ -199,15 +199,12 @@ class ExpansionReport:
         """(alpha_x, alpha_eps): the derivatives of the optimum's Newton
         coefficients on the attainable space's plan (wealth x + W·alpha, in
         unperturbed units), from differentiating its first-order conditions
-        W'·p·U'(Z/N)/N = 0, or None on a complete tree, which runs no Newton.
-        Both are weighted fits with the Newton weights w = -p·U''(X_T):
-        alpha_x makes 1 + W·alpha_x orthogonal to the span, and W·alpha_eps
-        fits b/w for b = p·(U''·X_T + U')·(1/N)', where (1/N)' = F at
-        eps = 0.  Built on first access, so the expansion alone does not pay
-        for it."""
+        W'·p·U'(Z/N)/N = 0.  Both are weighted fits with the Newton weights
+        w = -p·U''(X_T): alpha_x makes 1 + W·alpha_x orthogonal to the span,
+        and W·alpha_eps fits b/w for b = p·(U''·X_T + U')·(1/N)', where
+        (1/N)' = F at eps = 0.  Built on first access, so the expansion alone
+        does not pay for it."""
         primal = self.optimum.primal
-        if primal.coeffs is None:
-            return None
         p, plan, u = primal.model.tree.leaf_prob, primal.model.space.plan, primal.utility
         X = primal.terminal
         d2u = u.d2u(X)
@@ -220,9 +217,7 @@ class ExpansionReport:
     def newton_start(self, x: float, eps: float):
         """Coefficients from which a re-solve at (x, eps) starts Newton: the
         first-order expansion alpha0 + (x - x0)·alpha_x + eps·alpha_eps of
-        the optimum's, or None on a complete tree."""
-        if self.first_order_coeffs is None:
-            return None
+        the optimum's."""
         alpha_x, alpha_eps = self.first_order_coeffs
         return self.optimum.primal.coeffs + (x - self.x) * alpha_x + eps * alpha_eps
 

@@ -11,9 +11,8 @@ step is the weighted least-squares fit that the tree-elimination kernel
 builds once: `MarketModel.space`) solves in time linear in the node count,
 and the gradient behind the first-order residual comes from subtree totals;
 the payoff matrix `AttainableSpace.W` is a view built on access, read only
-by the risk-tolerance replication.  Complete trees (every one-step market
-spans its child space) instead use the unique one-step pricing weights and
-a one-dimensional budget root-find.
+by the risk-tolerance replication.  Every tree, complete or not, solves this
+way; the wealth x + W·alpha meets the budget by construction.
 
 The dual optimizer is built from the primal one: its terminal value is the
 marginal utility of the optimal wealth, and the product with the optimal
@@ -29,7 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+# brentq is unused here; perfbench's `solver.root_find` layer still patches it
+from scipy.optimize import brentq, linprog  # noqa: F401
 
 from .errors import (
     ContractViolationError,
@@ -60,7 +60,6 @@ class AttainableSpace:
     often."""
 
     tree: EventTree
-    complete: bool
     plan: BlockPlan = field(repr=False, compare=False)
     redundant_nodes: tuple                 # nodes whose one-step returns were collinear
 
@@ -120,17 +119,16 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
         raise NoOptimizerError(
             f"one-step arbitrage at node {first}: no optimizer exists (NUPBR fails)"
         )
-    directions, redundant, complete = {}, [], True
-    for k, (nodes, ch) in tree.branch_groups.items():
+    directions, redundant = {}, []
+    for nodes, ch in tree.branch_groups.values():
         D = dR[ch][:, :, 1:]
         u_, s, _ = np.linalg.svd(D, full_matrices=False)
         ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
-        complete = complete and bool(np.all(ranks == k - 1))
         redundant.extend(nodes[ranks < min(D.shape[1:])].tolist())
         for node, u_node, rank in zip(nodes.tolist(), u_, ranks.tolist()):
             if rank:
                 directions[node] = u_node[:, :rank]
-    return AttainableSpace(tree=tree, complete=complete, plan=BlockPlan(tree, directions),
+    return AttainableSpace(tree=tree, plan=BlockPlan(tree, directions),
                            redundant_nodes=tuple(sorted(redundant)))
 
 
@@ -152,9 +150,8 @@ class PrimalSolution:
     strategy: PredictableProcess       # proportions (bank first) in the perturbed market
     strategy_base: PredictableProcess  # proportions generating zwealth from the base returns
     foc_residual: float
-    # Newton's coefficients on `model.space.plan` (zwealth = x + W·coeffs);
-    # None on a complete tree, which runs no Newton
-    coeffs: np.ndarray = field(repr=False, default=None)
+    # Newton's coefficients on `model.space.plan`: zwealth = x + W·coeffs
+    coeffs: np.ndarray = field(repr=False)
     diagnostics: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -190,55 +187,6 @@ class Optimum:
     @property
     def y(self):
         return self.primal.marginal
-
-
-def _complete_tree_terminal(space, tree, p, N, x, utility):
-    """Unique pricing weights + budget root-find; returns leaf wealth Z."""
-    if not space.complete:
-        raise InvariantViolationError("complete-tree path invoked on an incomplete tree")
-    q_child = np.ones(tree.n_nodes)
-    # complete: a node of rank r has r + 1 children, so no group is padded
-    for _nodes, children, cols, V in space.plan.groups:
-        if cols.shape[1]:
-            u_full, _, _ = np.linalg.svd(V, full_matrices=True)
-            q = u_full[:, :, cols.shape[1]]
-            q = q / q.sum(axis=1, keepdims=True)
-            if np.any(q <= 0.0):
-                raise InvariantViolationError("pricing weights not positive on a no-arbitrage node")
-            q_child[children] = q
-
-    Q = tree.cumulate(q_child, 1.0, np.multiply)
-    Ql = Q[tree.leaves]
-    Nl = N.values[tree.leaves]
-
-    def budget(lam_log):
-        lam = math.exp(lam_log)
-        Z = Nl * utility.inverse_marginal(lam * Ql * Nl / p)
-        return float(Ql @ Z) - x
-
-    lo = hi = math.log(float(utility.du(x)))
-    for _ in range(200):
-        if budget(lo) > 0.0:
-            break
-        lo -= 2.0
-    for _ in range(200):
-        if budget(hi) < 0.0:
-            break
-        hi += 2.0
-    lam_log = brentq(budget, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    lam = math.exp(lam_log)
-    # polish with Newton on the budget in lambda
-    for _ in range(4):
-        Z = Nl * utility.inverse_marginal(lam * Ql * Nl / p)
-        g = float(Ql @ Z) - x
-        xi = Z / Nl
-        dZ = Nl * (Ql * Nl / p) / utility.d2u(xi)
-        slope = float(Ql @ dZ)
-        if slope == 0.0:
-            break
-        lam = lam - g / slope
-    Z = Nl * utility.inverse_marginal(lam * Ql * Nl / p)
-    return Z, Q
 
 
 def _foc_residual(space, leaf_grad, scale):
@@ -345,14 +293,8 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     p = tree.leaf_prob
     Nl = N.values[tree.leaves]
 
-    complete = space.complete
-    if complete:
-        Z_leaf, Q = _complete_tree_terminal(space, tree, p, N, x, utility)
-        Z_nodes = tree.conditional_expectation(Q[tree.leaves], Z_leaf)
-        alpha, steps = None, 0
-    else:
-        Z_leaf, alpha, steps = _newton_terminal(space, tree, p, N, x, utility, start)
-        Z_nodes = space.plan.process(alpha, float(x))
+    Z_leaf, alpha, steps = _newton_terminal(space, tree, p, N, x, utility, start)
+    Z_nodes = space.plan.process(alpha, float(x))
 
     if np.any(Z_nodes <= 0.0):
         raise InvariantViolationError("optimal wealth failed strict positivity")
@@ -373,7 +315,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
         strat = _proportions_from_wealth(tree, wealth, _returns_of_prices(tree, prices))
     # terminal wealth spread drives the conditioning of every identity built
     # on this solve; extreme ratios cap attainable double-precision accuracy
-    diag = {"complete": complete, "newton_dim": space.dim, "newton_iters": steps,
+    diag = {"newton_dim": space.dim, "newton_iters": steps,
             "wealth_ratio": float(np.max(xi) / np.min(xi)),
             "redundant_nodes": list(space.redundant_nodes)}
     return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),

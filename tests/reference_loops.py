@@ -5,13 +5,18 @@ as the library did before its passes were stacked over sibling groups.
 They are slow and obviously correct, and serve as oracles in
 `test_stacked_passes.py` and `test_tree.py`.  `naive_dual_value` is the
 campaign's dual re-solve as it was before its bracket was seeded, the
-oracle of `test_harness.py`."""
+oracle of `test_harness.py`.  `naive_complete_tree_terminal` is the
+closed-form solve of a complete tree (pricing weights and a budget
+root-find) that the library ran beside Newton before every tree went
+through one solver, the oracle of `test_complete_trees.py`."""
+
+import math
 
 import numpy as np
 from scipy.optimize import brentq
 
 from numsens.errors import InvariantViolationError, RepresentationError
-from numsens.market import perturbed_prices
+from numsens.market import numeraire, perturbed_prices
 from numsens.solver import solve_dual, solve_primal
 from numsens.strategy import discount_direction
 
@@ -238,3 +243,58 @@ def naive_dual_value(m, utility, x, yt, eps):
     xs = x if lo == hi else brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
     marg(xs)
     return solve_dual(solved[xs]).value, len(solved)
+
+
+def naive_pricing_weights(m):
+    """Leaf weights of the unique pricing measure of a complete tree: at each
+    node, the one-step weights orthogonal to its block of the attainable
+    space, normalized to sum to one, multiplied down the tree."""
+    tree = m.tree
+    q_child = np.ones(tree.n_nodes)
+    blocks = {node: V for node, _, V in m.space.plan.blocks()}
+    for node in tree.internal_nodes.tolist():
+        ch = tree.children[node]
+        V = blocks.get(node)
+        rank = 0 if V is None else V.shape[1]
+        if rank != len(ch) - 1:
+            raise InvariantViolationError(f"node {node} is not complete")
+        if rank:
+            q = np.linalg.svd(V, full_matrices=True)[0][:, rank]
+            q = q / q.sum()
+            if np.any(q <= 0.0):
+                raise InvariantViolationError(f"pricing weights not positive at node {node}")
+            q_child[ch] = q
+    return tree.cumulate(q_child, 1.0, np.multiply)[tree.leaves]
+
+
+def naive_complete_tree_terminal(m, utility, x, eps):
+    """Leaf wealth Z, in unperturbed units, of the optimum on a complete
+    tree: Z = N·I(lam·Q·N/p) with the multiplier lam from a budget
+    root-find on Q·Z = x, polished by four Newton steps on the budget."""
+    Ql = naive_pricing_weights(m)
+    p = m.tree.leaf_prob
+    Nl = numeraire(m, eps).values[m.tree.leaves]
+
+    def wealth(lam):
+        return Nl * utility.inverse_marginal(lam * Ql * Nl / p)
+
+    def budget(lam_log):
+        return float(Ql @ wealth(math.exp(lam_log))) - x
+
+    lo = hi = math.log(float(utility.du(x)))
+    for _ in range(200):
+        if budget(lo) > 0.0:
+            break
+        lo -= 2.0
+    for _ in range(200):
+        if budget(hi) < 0.0:
+            break
+        hi += 2.0
+    lam = math.exp(brentq(budget, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))
+    for _ in range(4):
+        Z = wealth(lam)
+        slope = float(Ql @ (Nl * (Ql * Nl / p) / utility.d2u(Z / Nl)))
+        if slope == 0.0:
+            break
+        lam -= (float(Ql @ Z) - x) / slope
+    return wealth(lam)

@@ -77,20 +77,16 @@ def test_warm_and_cold_resolves_agree(seed, utility, k, fx, fe):
 
 @pytest.mark.parametrize("utility", sorted(UTILITIES))
 def test_warm_resolves_take_fewer_newton_steps(utility):
-    m = make_random_tree(0, depth=4)
+    # a random trinomial and a complete binomial: every tree solves by
+    # Newton, so complete ones start warm as well
     u = UTILITIES[utility]
-    ex = expansion_report(m, u, 1.0)
-    cold = warm = 0
-    for k in range(3, 10):
-        for x, eps in ((1.0 + 2.0**-k, 2.0**-k), (1.0 - 2.0**-k, 2.0**-k)):
-            cold += solve_primal(m, u, x, eps).diagnostics["newton_iters"]
-            warm += solve_primal(m, u, x, eps,
-                                 start=ex.newton_start(x, eps)).diagnostics["newton_iters"]
-    assert warm < cold
-
-
-def test_complete_trees_run_no_newton(binom, logu):
-    ex = expansion_report(binom, logu, 1.0)
-    assert ex.optimum.primal.coeffs is None
-    assert ex.optimum.primal.diagnostics["newton_iters"] == 0
-    assert ex.first_order_coeffs is None and ex.newton_start(1.1, 0.01) is None
+    for max_branches in (3, 2):
+        m = make_random_tree(0, depth=4, max_branches=max_branches)
+        ex = expansion_report(m, u, 1.0)
+        cold = warm = 0
+        for k in range(3, 10):
+            for x, eps in ((1.0 + 2.0**-k, 2.0**-k), (1.0 - 2.0**-k, 2.0**-k)):
+                cold += solve_primal(m, u, x, eps).diagnostics["newton_iters"]
+                warm += solve_primal(m, u, x, eps,
+                                     start=ex.newton_start(x, eps)).diagnostics["newton_iters"]
+        assert warm < cold
