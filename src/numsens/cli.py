@@ -44,7 +44,6 @@ def _add_grids(sp):
                     help="comma-separated wealth shifts (paired with --eps-grid)")
     sp.add_argument("--eps-grid", type=_floats, default=None,
                     help="comma-separated perturbation sizes")
-    sp.add_argument("--n-budget", type=int, default=64, help="level-selection budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,12 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _campaign_from_args(args, model, utility):
     if args.dx_grid is None and args.eps_grid is None:
-        return dyadic_campaign(model, utility, args.x, n_budget=args.n_budget,
-                               tol=args.tol)
+        return dyadic_campaign(model, utility, args.x, tol=args.tol)
     dx = args.dx_grid if args.dx_grid is not None else tuple(0.0 for _ in args.eps_grid)
     ep = args.eps_grid if args.eps_grid is not None else tuple(0.0 for _ in args.dx_grid)
-    return Campaign(model=model, utility=utility, x=args.x, dx_grid=dx, eps_grid=ep,
-                    n_budget=args.n_budget, tol=args.tol)
+    return Campaign(model=model, utility=utility, x=args.x, dx_grid=dx, eps_grid=ep, tol=args.tol)
 
 
 def main(argv=None) -> int:
@@ -124,7 +121,7 @@ def _dispatch(args) -> int:
         elif args.command == "risk-tolerance":
             report = risk_tolerance_report(model, utility, args.x, tol=args.tol)
         elif args.command == "verify-all":
-            report = verify_all(model, utility, args.x, n_budget=args.n_budget)
+            report = verify_all(model, utility, args.x)
         else:  # pragma: no cover
             raise AssertionError(args.command)
 

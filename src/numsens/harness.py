@@ -183,7 +183,6 @@ class Campaign:
     x: float
     dx_grid: tuple
     eps_grid: tuple
-    n_budget: int = 64
     tol: float = 1e-8
     # the expansion residual ratio tends to 2 (from either side) at finite
     # radius; 1.8 is the same slack the optimizer-derivative decay uses
@@ -355,7 +354,7 @@ def run_strategy_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
 
     residuals, levels = [], []
     for dx, e in zip(c.dx_grid, c.eps_grid):
-        n = kit.select_level(dx, e, budget=c.n_budget)
+        n = kit.select_level(dx, e)
         levels.append(n)
         r = kit.value_residual(dx, e, n)
         residuals.append(r)
@@ -569,7 +568,7 @@ def calculus_report(m: MarketModel) -> Report:
 
 
 def verify_all(m: MarketModel, utility: Utility, x: float, *,
-               k_range=range(3, 9), n_budget: int = 64) -> Report:
+               k_range=range(3, 9)) -> Report:
     utility = utility if utility is not None else log_utility()
     rep = Report(title="verify-all",
                  metadata={"model": partial(model_digest, m, utility), "x": x})
@@ -579,7 +578,7 @@ def verify_all(m: MarketModel, utility: Utility, x: float, *,
     opt = solve_pair(m, utility, x)
     rep.extend(solve_report(opt))
     base = expansion_report(m, utility, x, optimum=opt)
-    camp = dyadic_campaign(m, utility, x, k_range=k_range, n_budget=n_budget)
+    camp = dyadic_campaign(m, utility, x, k_range=k_range)
     rep.extend(run_expansion_campaign(camp, base))
     rep.extend(run_strategy_campaign(camp, base))
     rep.extend(risk_tolerance_report(m, utility, x, base=base))

@@ -6,10 +6,10 @@ jump compensator).  Hedgeable martingales are represented as integrals
 against the wealth-discounted return process; truncation/localization
 produces bounded versions whose integrands, scaled by the wealth and
 perturbation offsets, generate wealth processes matching the value
-function to second order.  The level-selection rule is a computable
-instantiation of an existential construction: it measures residual
-envelopes on a dyadic probe ladder and grows the level like the inverse
-perturbation radius.
+function to second order.  The paper grows the truncation level like the
+inverse perturbation radius; on a finite tree truncation returns M itself
+from a closed-form saturation level n* on, so radius h takes level
+max(n*, ceil(1/(2h))) and every saturated level shares one construction.
 
 Each step is a stacked pass over the tree: the characteristics are sibling
 sums, the representation is the per-node minimum-norm step fit the solver's
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AdmissibilityError, ContractViolationError, NumericalError, RepresentationError
+from .errors import AdmissibilityError, ContractViolationError, RepresentationError
 from .market import MarketModel
 from .preferences import Utility
 from .sensitivity import ExpansionReport
@@ -32,8 +33,6 @@ from .solver import Optimum, fit_steps, solve_primal
 from .tree import AdaptedProcess, PredictableProcess, stochastic_exponential, stochastic_integral
 
 _REPR_TOL = 1e-10
-_FLOOR_ABS = 1e-12    # absolute value-solve floor feeding the probe allowance
-_PROBE_DEPTH = 6      # halvings below the top probe radius in level selection
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ def truncate_localize(M: AdaptedProcess, n: int) -> TruncationResult:
     exceed level n (a stopping time, child values being a function of the
     current node), then stop when the running quadratic variation reaches n.
     The result is bounded by n with jumps at most 2n and quadratic variation
-    at most n + 4n^2, and equals M once n dominates both envelopes."""
+    at most n + 4n^2, and equals M from `saturation_level(M)` on."""
     if n < 1:
         raise ContractViolationError("truncation level must be a positive integer")
     tree = M.tree
@@ -194,6 +193,19 @@ def _freeze(tree, values, flag):
                           np.minimum)
     first = np.minimum(first, ids).astype(np.int64)
     return values[first], tuple(np.flatnonzero(flag & (first == ids)).tolist())
+
+
+def saturation_level(M: AdaptedProcess) -> int:
+    """Smallest n* with `truncate_localize(M, n)` saturated for all n >= n*:
+    no value stop once n >= max |M|, and no quadratic-variation stop above
+    a nonzero jump once n exceeds the variation accrued before it.  The
+    increments are differenced from the values, as truncation reads them."""
+    tree = M.tree
+    dM = AdaptedProcess(tree, M.values).increments()
+    qv = tree.cumulate(dM ** 2, 0.0)
+    before_jump = qv[tree.parent[1:][dM[1:] != 0.0]]
+    return max(1, math.ceil(float(np.max(np.abs(M.values)))),
+               math.floor(float(np.max(before_jump, initial=0.0))) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +244,23 @@ class StrategyKit:
     def pi_hat(self) -> PredictableProcess:
         return self.optimum.primal.strategy_base
 
+    @cached_property
+    def _martingales(self) -> tuple:
+        ex, tree = self.expansion, self.model.tree
+        return tuple(AdaptedProcess(tree, ex.basis.primal_plan.process(M.coeffs))
+                     for M in (ex.M0, ex.M1))
+
+    @cached_property
+    def saturation(self) -> int:
+        """The level n* from which truncation leaves both M0 and M1 unchanged."""
+        return max(saturation_level(M) for M in self._martingales)
+
     def level_data(self, n: int):
-        """(gamma0, gamma1, truncation results) at level n, cached."""
+        """(gamma0, gamma1, truncation results) at level n, cached; every
+        saturated level shares the entry of n*."""
+        n = min(n, self.saturation)
         if n not in self._level_cache:
-            ex, tree = self.expansion, self.model.tree
-            martingales = (AdaptedProcess(tree, ex.basis.primal_plan.process(M.coeffs))
-                           for M in (ex.M0, ex.M1))
-            t0, t1 = (truncate_localize(M, n) for M in martingales)
+            t0, t1 = (truncate_localize(M, n) for M in self._martingales)
             g0, g1 = (represent_martingale(t.process / self.x, self.model, self.pi_hat).gamma
                       for t in (t0, t1))
             self._level_cache[n] = (g0, g1, t0, t1)
@@ -268,10 +290,11 @@ class StrategyKit:
     def nearly_optimal_wealth(self, dx: float, eps: float, n: int) -> AdaptedProcess:
         if dx <= -self.x:
             raise AdmissibilityError("wealth shift must keep x + dx positive")
+        h = math.hypot(dx, eps)
         explicit, _ = self.admissible_radius(n)
-        if math.hypot(dx, eps) >= explicit:
+        if h >= explicit:
             raise AdmissibilityError(
-                f"(dx, eps) outside the admissible radius {explicit!r} at level {n}"
+                f"(dx, eps) at radius {h!r} outside the admissible radius {explicit!r} at level {n}"
             )
         tree = self.model.tree
         reps = discount_direction(self.model, eps * self.model.theta)
@@ -314,57 +337,16 @@ class StrategyKit:
         p = self.model.tree.leaf_prob
         return float(p @ self.utility.u(X.terminal))
 
-    def matching_residual(self, dx: float, eps: float, n: int) -> float:
-        """Quadratic-prediction gap of the constructed wealth, normalized by
-        the squared radius."""
-        h2 = dx * dx + eps * eps
-        return (self.quadratic_prediction(dx, eps)
-                - self.construction_utility(dx, eps, n)) / h2
-
     def value_residual(self, dx: float, eps: float, n: int) -> float:
         """Exact value-function gap of the constructed wealth, normalized."""
         h2 = dx * dx + eps * eps
         return (self.exact_value(dx, eps) - self.construction_utility(dx, eps, n)) / h2
 
-    def select_level(self, dx: float, eps: float, budget: int = 64) -> int:
-        """Smallest level passing the inverse-radius rule: a dyadic probe
-        ladder along the requested direction measures the residual envelope
-        g(n) (max over the two smallest probes) and the largest validated
-        radius r(n) where the ladder stays within twice the envelope (plus a
-        documented solver-floor allowance); the level is accepted once
-        2·max(n, ceil(1/r(n))) reaches the inverse of the requested radius.
-        Once truncation saturates, only the 2n-versus-1/h comparison binds."""
+    def select_level(self, dx: float, eps: float) -> int:
+        """The inverse-radius rule 2n >= 1/h at radius h, raised to the
+        saturation level so that the construction is the untruncated one."""
         h = math.hypot(dx, eps)
-        if h == 0.0:
-            return 1
-        ux, ue = dx / h, eps / h
-        n = 1
-        while n <= budget:
-            _, _, t0, t1 = self.level_data(n)
-            explicit, _ = self.admissible_radius(n)
-            if h >= explicit:
-                n += 1
-                continue
-            top = 0.5 * min(explicit,
-                            0.5 * self.x / abs(ux) if ux < 0.0 else math.inf)
-            radii = [top * 2.0**-j for j in range(_PROBE_DEPTH + 1)]
-            f_at = [abs(self.matching_residual(rr * ux, rr * ue, n)) for rr in radii]
-            g_hat = max(f_at[-1], f_at[-2])
-            r_hat = 0.0
-            for j in range(len(radii) - 1, -1, -1):
-                if all(f_at[i] <= 2.0 * g_hat + _FLOOR_ABS / radii[i] ** 2
-                       for i in range(j, len(radii))):
-                    r_hat = radii[j]
-                else:
-                    break
-            m_hat = 2.0 * max(n, math.ceil(1.0 / r_hat) if r_hat > 0.0 else n)
-            if m_hat >= 1.0 / h:
-                return n
-            if t0.saturated and t1.saturated:
-                # the envelope data no longer depends on n
-                return max(n, math.ceil(0.5 / h))
-            n += 1
-        raise NumericalError(f"level budget {budget} exhausted before the rule was met")
+        return 1 if h == 0.0 else max(self.saturation, math.ceil(0.5 / h))
 
 
 def drift_perturbation_theta(m: MarketModel, psi: PredictableProcess,

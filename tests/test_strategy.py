@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numsens.errors import AdmissibilityError, ContractViolationError, RepresentationError
+from numsens.harness import Campaign, dyadic_campaign, run_strategy_campaign
+from numsens.instances import random_tree_market
 from numsens.market import MarketModel
+from numsens.preferences import power_utility
 from numsens.sensitivity import expansion_report
 from numsens.strategy import (
     StrategyKit,
@@ -12,6 +19,7 @@ from numsens.strategy import (
     drift_perturbation_theta,
     reassemble_returns,
     represent_martingale,
+    saturation_level,
     truncate_localize,
 )
 from numsens.tree import (
@@ -23,7 +31,7 @@ from numsens.tree import (
     stochastic_integral,
 )
 
-from conftest import make_random_tree
+from conftest import make_mixed_tree, make_random_tree
 
 
 def test_characteristics_t1(t1):
@@ -206,13 +214,78 @@ def test_one_stock_proportion_structure(asym, logu):
 
 
 def test_select_level_properties(twop, mix, bank_dir, logu):
+    # the inverse-radius rule 2n >= 1/h, raised to the saturation level
     kit = StrategyKit(expansion_report(twop, mix, 1.0))
+    for k in range(3, 9):
+        h = math.hypot(2.0**-k, 2.0**-k)
+        assert kit.select_level(2.0**-k, 2.0**-k) == max(kit.saturation, math.ceil(0.5 / h))
     levels = [kit.select_level(2.0**-k, 2.0**-k) for k in range(3, 9)]
     assert all(a <= b for a, b in zip(levels, levels[1:]))
     assert kit.select_level(0.0, 0.0) == 1
     # wealth-shift-only selection works with the bank direction
     kb = StrategyKit(expansion_report(bank_dir, logu, 1.0))
-    assert kb.select_level(2.0**-6, 0.0) >= 1
+    assert kb.select_level(2.0**-6, 0.0) == max(kb.saturation, 32)
+    # every saturated level shares one construction
+    assert kit.level_data(kit.saturation) is kit.level_data(kit.saturation + 40)
+
+
+def test_point_outside_the_radius_names_radius_and_level(twop, mix):
+    kit = StrategyKit(expansion_report(twop, mix, 1.0))
+    n = kit.select_level(0.95, 0.0)
+    with pytest.raises(AdmissibilityError, match=rf"radius 0\.95 outside .* at level {n}$"):
+        kit.value_residual(0.95, 0.0, n)
+    camp = Campaign(model=twop, utility=mix, x=1.0, dx_grid=(0.95, 0.5), eps_grid=(0.0, 0.0))
+    with pytest.raises(AdmissibilityError, match="admissible radius"):
+        run_strategy_campaign(camp, kit.expansion)
+
+
+def _chain(values):
+    """A process on a single path through len(values) nodes."""
+    tree = EventTree(list(range(-1, len(values) - 1)), [1.0] * len(values))
+    return AdaptedProcess(tree, np.asarray(values, dtype=float))
+
+
+def test_saturation_level_ignores_stops_that_freeze_nothing():
+    # the quadratic variation reaches 1 only at the leaf: 0.36, 0.72, 1.08
+    M = _chain([0.0, 0.6, 0.0, 0.6])
+    out = truncate_localize(M, 1)
+    assert saturation_level(M) == 1 and out.saturated and out.qv_stop_nodes == (3,)
+    # the variation reaches 1 at node 1, and M is constant below it
+    M = _chain([0.0, 1.0, 1.0, 1.0])
+    out = truncate_localize(M, 1)
+    assert saturation_level(M) == 1 and out.saturated and out.qv_stop_nodes == (1,)
+    # one more jump below node 1 makes level 1 freeze it
+    M = _chain([0.0, 1.0, 1.0, 0.5])
+    assert saturation_level(M) == 2 and not truncate_localize(M, 1).saturated
+    # the value bound binds: max |M| = 1.5 without a stop on the variation
+    M = _chain([0.0, 0.5, 1.0, 1.5])
+    assert saturation_level(M) == 2 and truncate_localize(M, 1).value_stop_nodes == (2,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.05, 3.0), st.floats(0.0, 0.6))
+def test_saturation_level_is_the_first_saturated_level(seed, scale, zero_frac):
+    tree = make_mixed_tree(seed)
+    rng = np.random.default_rng(seed)
+    inc = rng.normal(scale=scale, size=tree.n_nodes)
+    inc[rng.uniform(size=tree.n_nodes) < zero_frac] = 0.0    # constant stretches
+    M = AdaptedProcess.from_increments(tree, inc)
+    n_star = saturation_level(M)
+    for n in (n_star, n_star + 1, 2 * n_star + 5):
+        assert truncate_localize(M, n).saturated
+    if n_star > 1:
+        assert not truncate_localize(M, n_star - 1).saturated
+
+
+@pytest.mark.parametrize("depth, seed", [(4, 1600019), (8, 1)])
+def test_match_residual_decays_under_power_half(depth, seed):
+    # at these markets level 1 is not saturated; a level below n* freezes
+    # M1, and the residual stops decaying (ratio 1.01 and 1.43)
+    m = random_tree_market(np.random.default_rng(seed), depth=depth, max_branches=3)
+    rep = run_strategy_campaign(dyadic_campaign(m, power_utility(0.5), 1.0))
+    decay = next(c for c in rep.checks if c.name == "match-residual-decay")
+    assert decay.passed, decay
+    assert rep.all_passed, [c for c in rep.checks if not c.passed]
 
 
 def test_drift_perturbation_structure(t1):
@@ -264,11 +337,3 @@ def test_drift_perturbation_compensator(twop):
         lam_hat = comp_pert / d_ang
         bound = abs(eps * psi_val) * (abs(lam) ** 2 * d_ang + abs(eps) * 10.0) + 1e-12
         assert abs(lam_hat - (lam + eps * psi_val)) <= bound
-
-
-def test_matching_residual_bounded_at_fixed_level(twop, mix):
-    # for a fixed level the normalized prediction gap stays bounded along
-    # dyadic radii (the selection rule is what drives it to zero)
-    kit = StrategyKit(expansion_report(twop, mix, 1.0))
-    vals = [abs(kit.matching_residual(2.0**-k, 2.0**-k, 1)) for k in range(3, 9)]
-    assert max(vals) < 1.0
