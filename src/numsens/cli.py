@@ -30,13 +30,14 @@ def _floats(text: str):
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _add_common(sp, spec_required=True):
-    sp.add_argument("--spec", required=spec_required, help="market specification file")
+def _add_common(sp, tol=False):
+    sp.add_argument("--spec", required=True, help="market specification file")
     sp.add_argument("--x", type=float, default=1.0, help="initial wealth")
     sp.add_argument("--out", default=None, help="report file path")
     sp.add_argument("--format", default="csv", choices=("csv", "text"),
                     help="report file format")
-    sp.add_argument("--tol", type=float, default=1e-8, help="identity tolerance")
+    if tol:
+        sp.add_argument("--tol", type=float, default=1e-8, help="identity tolerance")
 
 
 def _add_grids(sp):
@@ -58,15 +59,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.0)
 
     sp = sub.add_parser("expand", help="quadratic expansion campaign")
-    _add_common(sp)
+    _add_common(sp, tol=True)
     _add_grids(sp)
 
     sp = sub.add_parser("strategy", help="nearly-optimal strategy campaign")
-    _add_common(sp)
+    _add_common(sp, tol=True)
     _add_grids(sp)
 
     sp = sub.add_parser("risk-tolerance", help="replication and decomposition cross-check")
-    _add_common(sp)
+    _add_common(sp, tol=True)
 
     sp = sub.add_parser("counterexample", help="built-in boundary models")
     sp.add_argument("which", choices=("unbounded-jumps", "integrability"))
@@ -80,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-all", help="every campaign and check on one market")
     _add_common(sp)
-    _add_grids(sp)
     return ap
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ContractViolationError, InvariantViolationError
+from .errors import AdmissibilityError, ContractViolationError, InvariantViolationError, json_field
 from .tree import (
     AdaptedProcess,
     EventTree,
@@ -197,30 +197,28 @@ def save_market(m: MarketModel, path, utility=None) -> None:
 def market_from_obj(obj: dict):
     from .preferences import Utility  # local import to avoid a cycle
 
-    d = int(obj["assets"])
-    steps = int(obj["steps"])
+    d = int(json_field(obj, "assets", "a market file"))
+    steps = int(json_field(obj, "steps", "a market file"))
 
     parent, prob, theta_rows, dR_rows = [-1], [1.0], [np.zeros(d + 1)], [np.zeros(d)]
-    queue = [(0, obj["root"], 0)]
+    queue = [(0, json_field(obj, "root", "a market file"), 0)]
     order = 0
     while order < len(queue):
         node_id, node_obj, depth = queue[order]
         order += 1
-        branches = node_obj.get("branches")
+        branches = json_field(node_obj, "branches", "a tree node", None)
         if branches is None:
             if depth != steps:
                 raise ContractViolationError("leaf found before the declared number of steps")
             continue
-        if "theta" not in node_obj:
-            raise ContractViolationError("every branching node needs a theta entry")
-        th = np.asarray(node_obj["theta"], dtype=float)
+        th = np.asarray(json_field(node_obj, "theta", "a branching node"), dtype=float)
         if th.shape != (d + 1,):
             raise ContractViolationError("theta entries must have length assets+1")
         for b in branches:
             cid = len(parent)
             parent.append(node_id)
-            prob.append(float(b["prob"]))
-            dr = np.asarray(b["dR"], dtype=float)
+            prob.append(float(json_field(b, "prob", "a branch")))
+            dr = np.asarray(json_field(b, "dR", "a branch"), dtype=float)
             if dr.shape != (d,):
                 raise ContractViolationError("dR entries must have length equal to assets")
             dR_rows.append(dr)

@@ -4,14 +4,16 @@ the second-order coefficients.
 The target payoff is the reciprocal-risk-aversion-scaled optimal wealth
 (-U'/U'' at the optimum).  Its replication is a dense weighted least-
 squares fit on the payoff matrix `W` of the model's shared attainable
-space (`MarketModel.space`), built for this fit alone, rather than a pass of the tree-elimination kernel: the initial
-capitals in `perfbench/reference.json` carry this fit's rounding, which a
-kernel fit would move by up to 1.6e-12 relative, beyond their gate.
+space (`MarketModel.space`), built for this fit alone, rather than a pass
+of the tree-elimination kernel: the initial capitals in
+`perfbench/reference.json` carry this fit's rounding, which a kernel fit
+would move by up to 1.6e-12 relative, beyond their gate.
 When the payoff is replicable, discounting by the replicating process and
 reweighting by its terminal value times the dual density yields a measure
 under which the mixed second-order coefficients come from a two-component
-orthogonal decomposition of one conditional-expectation martingale — an
-independent route to the same numbers the least-squares engine produces.
+orthogonal (Galtchouk-Kunita-Watanabe) split of one conditional-expectation
+martingale, one elimination pass on the plan of the hedgeable span alone —
+an independent route to the same numbers the least-squares engine produces.
 """
 
 from __future__ import annotations
@@ -84,14 +86,13 @@ class GKWDecomposition:
     M_component: AdaptedProcess         # hedgeable component (enters with minus sign)
     N_component: AdaptedProcess         # orthogonal component (enters with minus sign)
     orthogonality_defect: float
-    basis: MartingaleBasis = field(repr=False, default=None)
     weights: np.ndarray = field(repr=False, default=None)
 
 
 def gkw_decompose(rt: RiskToleranceProcess, optimum: Optimum) -> GKWDecomposition:
     """Two-component orthogonal split P = P0 - M - N of the conditional
     expectation of x·F·(A-1), hedgeable part projected node by node under
-    the reweighted measure."""
+    the reweighted measure; only the hedgeable span is built."""
     if not rt.exists:
         raise ContractViolationError("decomposition needs the replicating process")
     m, utility, x = optimum.primal.model, optimum.primal.utility, optimum.x
@@ -104,39 +105,27 @@ def gkw_decompose(rt: RiskToleranceProcess, optimum: Optimum) -> GKWDecompositio
     P = tree.conditional_expectation(wts, target)
 
     Sdisc = m.asset_prices().values * (rt.initial / rt.process.values)[:, None]
-    basis = orthogonal_spans(tree, Sdisc, wts)
+    basis = orthogonal_spans(tree, Sdisc, wts, complement=False)
 
     Mv, Nv, defect = _hedge_split(basis, P)
-    err = np.max(np.abs(P - (P[0] - Mv - Nv)))
-    if err > 1e-9 * max(1.0, np.max(np.abs(P))):
-        raise InvariantViolationError("decomposition components fail to re-sum")
     return GKWDecomposition(P0=float(P[0]), P=AdaptedProcess(tree, P),
                             M_component=AdaptedProcess(tree, Mv),
                             N_component=AdaptedProcess(tree, Nv),
-                            orthogonality_defect=defect, basis=basis, weights=wts)
+                            orthogonality_defect=defect, weights=wts)
 
 
 def _hedge_split(basis: MartingaleBasis, P: np.ndarray):
     """Node values of M and N with P = P0 - M - N, and their orthogonality
     defect: at each node M takes the projection of P's increments onto the
-    hedgeable span in the conditional inner product, N the rest.  Stacked
-    by the primal plan's groups, whose padded children (id n_nodes) carry
-    no weight, no increment and no vectors."""
+    hedgeable span in the conditional inner product, N the rest.  For P a
+    martingale under the basis weights, under which the blocks are
+    compensated, the kernel's fit of P_T from P_0 is P_0 plus exactly these
+    node-by-node projections."""
     tree = basis.tree
-    n = tree.n_nodes
-    w_pad = np.append(basis.child_weights, 0.0)
-    dP = np.zeros(n + 1)
-    dP[1:n] = P[1:] - P[tree.parent[1:]]
-    proj = np.zeros(n + 1)
-    defect = 0.0
-    for _nodes, children, cols, V in basis.primal_plan.groups:
-        if cols.shape[1]:
-            w, d = w_pad[children], dP[children]
-            WV = (V * w[:, :, None]).mT
-            fit = (V @ np.linalg.solve(WV @ V, WV @ d[:, :, None]))[:, :, 0]
-            proj[children] = fit
-            defect = max(defect, float(np.max(np.abs(((w * fit) * (d - fit)).sum(axis=1)))))
-    return tree.cumulate(-proj[:n], 0.0), tree.cumulate(proj[:n] - dP[:n], 0.0), defect
+    fitted, _, _ = basis.primal_plan.solve(basis.weights, P[tree.leaves], P[0])
+    fit, dP = AdaptedProcess(tree, fitted).increments(), AdaptedProcess(tree, P).increments()
+    cross = tree.sibling_sum(basis.child_weights * fit * (dP - fit))[tree.internal_nodes]
+    return P[0] - fitted, fitted - P, float(np.max(np.abs(cross), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -178,12 +167,8 @@ def recovery_residual(dec: GKWDecomposition, rep: ExpansionReport,
     """Per node, the larger deviation of the two decomposition components
     from the engine's auxiliary optimizers mapped through the change of unit
     and measure."""
-    opt = rep.optimum
-    Xv = opt.primal.wealth.values
     m1 = rep.basis.primal_plan.process(rep.M1.coeffs)
     n1 = rep.basis.dual_plan.process(rep.N1.coeffs)
-    lhs_m = dec.M_component.values
-    rhs_m = (Xv / rt.process.values) * m1
-    lhs_n = dec.N_component.values
-    rhs_n = (rep.x / rep.y) * n1
-    return np.maximum(np.abs(lhs_m - rhs_m), np.abs(lhs_n - rhs_n))
+    rhs_m = (rep.optimum.primal.wealth.values / rt.process.values) * m1
+    return np.maximum(np.abs(dec.M_component.values - rhs_m),
+                      np.abs(dec.N_component.values - (rep.x / rep.y) * n1))

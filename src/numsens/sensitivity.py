@@ -4,14 +4,14 @@ Everything here lives under the pricing measure with leaf density
 (optimal wealth × optimal deflator)/(x·y).  The hedgeable martingale space
 is spanned, node by node, by the one-step increments of the prices
 discounted by the optimal wealth; its product-orthogonal complement is the
-per-node orthocomplement inside the zero-conditional-mean space.  The six
-auxiliary quadratic problems are weighted least squares over those spans.
-A `MartingaleBasis` holds each span only as its `tree.BlockPlan`, on which
-the tree-elimination kernel solves them (`Phi` and `Psi` are views built on
-access, read by no solve); one routine serves both sides, the dual pair
-being the primal pair on the complement at -y with -G.  Gradients and
-Hessians of the value functions are assembled from their values; the
-optimizer terminal derivatives come from the auxiliary optimizers.
+per-node orthocomplement inside the zero-conditional-mean space.  Both are
+stacks of equal-rank blocks from one stacked SVD (`tree.rank_stacks`), each
+built into a `tree.BlockPlan`, on which the tree-elimination kernel solves
+the six auxiliary weighted least-squares problems (`Phi` and `Psi` are
+views built on access, read by no solve); one routine serves both sides,
+the dual pair being the primal pair on the complement at -y with -G.
+Gradients and Hessians of the value functions are assembled from their
+values; the optimizer terminal derivatives come from the auxiliary optimizers.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from .errors import ContractViolationError
 from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .solver import Optimum, solve_pair
-from .tree import BlockPlan, EventTree
-
-_ORTH_TOL = 1e-12
+from .tree import BlockPlan, EventTree, rank_stacks
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +42,7 @@ class MartingaleBasis:
     weights: np.ndarray = field(repr=False)          # pricing-measure leaf weights
     child_weights: np.ndarray = field(repr=False)    # node -> its conditional probability
     primal_plan: BlockPlan = field(repr=False, compare=False)
-    dual_plan: BlockPlan = field(repr=False, compare=False)
+    dual_plan: BlockPlan = field(repr=False, compare=False)   # None when not asked for
 
     @property
     def primal_dim(self):
@@ -65,14 +63,16 @@ class MartingaleBasis:
         return self.dual_plan.payoff_matrix()
 
 
-def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> MartingaleBasis:
+def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray,
+                     complement: bool = True) -> MartingaleBasis:
     """Per-node spans of the one-step increments of the discounted prices
-    `Sdisc` and their orthocomplement inside the zero-conditional-mean space,
-    all under the leaf measure `r`."""
+    `Sdisc` and, with `complement`, their orthocomplement inside the
+    zero-conditional-mean space, all under the leaf measure `r`.  Without
+    the complement the basis has no dual plan."""
     mass = tree.node_mass(r)
     child_w = np.ones(tree.n_nodes)
     child_w[1:] = mass[1:] / mass[tree.parent[1:]]
-    primal_at, dual_at = {}, {}
+    primal, dual = [], []
     for k, (nodes, ch) in tree.branch_groups.items():
         w = child_w[ch]
         inc = Sdisc[ch] - Sdisc[nodes, None]
@@ -80,25 +80,20 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray) -> Marti
         # the conditional inner product
         inc = inc - (w[:, None, :] @ inc)
         sw = np.sqrt(w)
-        u_, s, _ = np.linalg.svd(inc * sw[:, :, None], full_matrices=False)
-        ranks = np.sum(s > _ORTH_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
-        for rank in np.unique(ranks).tolist():
-            sel = ranks == rank
-            at, u_r, sw_r = nodes[sel].tolist(), u_[sel, :, :rank], sw[sel]
+        for sel, u_r in rank_stacks(inc * sw[:, :, None]):
+            at, rank, sw_r = nodes[sel], u_r.shape[2], sw[sel][:, :, None]
+            primal.append((at, u_r / sw_r))
+            if not complement:
+                continue
+            if rank == k:
+                raise ContractViolationError(f"span dimensions at node {at[0]} do not fill "
+                                             "the one-step space")
             # complement of span{sqrt(w) P-cols} within {v: sw·v = 0}
-            u2, _, _ = np.linalg.svd(np.concatenate([sw_r[:, :, None], u_r], axis=2),
-                                     full_matrices=True)
-            P = u_r / sw_r[:, :, None]
-            Dv = u2[:, :, rank + 1:] / sw_r[:, :, None]
-            if rank + Dv.shape[2] != k - 1:
-                raise ContractViolationError(
-                    f"span dimensions at node {at[0]} do not fill the one-step space"
-                )
-            primal_at.update(zip(at, P))
-            dual_at.update(zip(at, Dv))
+            u2 = np.linalg.svd(np.concatenate([sw_r, u_r], axis=2), full_matrices=True)[0]
+            dual.append((at, u2[:, :, rank + 1:] / sw_r))
     return MartingaleBasis(tree=tree, weights=r, child_weights=child_w,
-                           primal_plan=BlockPlan(tree, primal_at),
-                           dual_plan=BlockPlan(tree, dual_at))
+                           primal_plan=BlockPlan(tree, primal),
+                           dual_plan=BlockPlan(tree, dual) if complement else None)
 
 
 def build_bases(optimum: Optimum) -> MartingaleBasis:

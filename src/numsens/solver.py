@@ -39,9 +39,8 @@ from .errors import (
 )
 from .market import MarketModel, numeraire, perturbed_prices
 from .preferences import Utility
-from .tree import AdaptedProcess, BlockPlan, EventTree, PredictableProcess
+from .tree import AdaptedProcess, BlockPlan, EventTree, PredictableProcess, rank_stacks
 
-_RANK_TOL = 1e-12
 _ARB_TOL = 1e-11
 _NEWTON_TOL = 1e-13       # relative first-order residual that ends Newton
 _NEWTON_MAX_ITER = 200
@@ -119,16 +118,14 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
         raise NoOptimizerError(
             f"one-step arbitrage at node {first}: no optimizer exists (NUPBR fails)"
         )
-    directions, redundant = {}, []
+    stacks, redundant = [], []
     for nodes, ch in tree.branch_groups.values():
         D = dR[ch][:, :, 1:]
-        u_, s, _ = np.linalg.svd(D, full_matrices=False)
-        ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
-        redundant.extend(nodes[ranks < min(D.shape[1:])].tolist())
-        for node, u_node, rank in zip(nodes.tolist(), u_, ranks.tolist()):
-            if rank:
-                directions[node] = u_node[:, :rank]
-    return AttainableSpace(tree=tree, plan=BlockPlan(tree, directions),
+        for sel, U in rank_stacks(D):
+            stacks.append((nodes[sel], U))
+            if U.shape[2] < min(D.shape[1:]):
+                redundant.extend(nodes[sel].tolist())
+    return AttainableSpace(tree=tree, plan=BlockPlan(tree, stacks),
                            redundant_nodes=tuple(sorted(redundant)))
 
 

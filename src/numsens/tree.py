@@ -13,11 +13,10 @@ children and reports are bit-reproducible.  Computations run on whole node
 arrays, not node by node: `EventTree.cumulate` passes down from the root,
 `aggregate` up from the leaves and `sibling_sum` one level up, and per-node
 linear algebra is stacked over `branch_groups` or over a `BlockPlan`.  A
-`BlockPlan` is the one representation of a span of one-step increments (the
-attainable payoffs, and each side of a martingale basis): built from a
-mapping of node to block, it runs the least-squares elimination, expands
-coefficients into a process, pairs leaf values with its columns and builds
-the dense payoff matrix when asked.
+span of one-step increments takes one form, the stacks of equal-rank blocks
+that `rank_stacks` cuts from a stacked SVD; a `BlockPlan` regroups them to
+run the least-squares elimination, expand coefficients into a process, pair
+leaf values with its columns and build the dense payoff matrix when asked.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 from .errors import ContractViolationError
 
 PROB_TOL = 1e-12
+_RANK_TOL = 1e-12
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -341,46 +341,59 @@ def quadratic_covariation(X: AdaptedProcess, Y: AdaptedProcess) -> AdaptedProces
 # processes and payoffs spanned by per-node blocks
 # ---------------------------------------------------------------------------
 #
-# A span is a mapping from internal node to its block V, of shape (children,
-# rank): the block's k-th column moves the node's r-th child by V[r, k].
-# Columns are numbered in node order, a node's block taking the next rank.
+# A span is a list of stacks (nodes, V): V has shape (len(nodes), children,
+# rank), one block per node, and a block's k-th column moves its node's r-th
+# child by V[i, r, k].  Columns are numbered in node order, a node's block
+# taking the next rank; an internal node in no stack has rank 0.
+
+
+def rank_stacks(A):
+    """The column spans of the matrices A[i] of an (n, k, d) stack, as
+    (selector, U) pairs of equal numerical rank r: U is (selected rows, k, r)
+    and holds the leading left singular vectors of those rows, orthonormal."""
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
+    return [(ranks == r, u[ranks == r, :, :r]) for r in np.unique(ranks).tolist()]
 
 
 class BlockPlan:
-    """A span's per-node blocks stacked for the elimination kernel.
+    """A span's stacks regrouped for the elimination kernel.
 
-    Every internal node enters, those without a block with rank 0.  Nodes
-    are grouped by level and rank; within a group the children are padded
-    to the group's largest branch count with a sentinel node (id n_nodes)
-    that carries zero weight, so one stacked computation serves each
-    group.  Groups are ordered by level, root first.  The plan keeps no
-    per-node objects: the blocks live only stacked in the groups."""
+    Every internal node enters, those in no stack with rank 0.  Nodes are
+    grouped by level and rank, root first and in node order; within a group
+    the children are padded to its largest branch count with a sentinel node
+    (id n_nodes) that carries zero weight, so one stacked computation serves
+    each group.  The blocks live only stacked in the groups."""
 
-    def __init__(self, tree: EventTree, spans):
+    def __init__(self, tree: EventTree, stacks):
         self.tree = tree
         ranks = np.zeros(tree.n_nodes, dtype=np.int64)
-        for node, V in spans.items():
-            ranks[node] = V.shape[1]
+        for nodes, V in stacks:
+            ranks[nodes] = V.shape[2]
         first_col = np.cumsum(ranks) - ranks
         self.n_cols = int(ranks.sum())
         self.col_node = np.repeat(np.arange(tree.n_nodes), ranks)
-        buckets = {}
-        for node in tree.internal_nodes.tolist():
-            buckets.setdefault((tree.time[node], ranks[node]), []).append(node)
+        internal = tree.internal_nodes
+        # group g takes the g-th (level, rank) pair's nodes, in node order
+        keys, key = np.unique(tree.time[internal] * (ranks.max() + 1) + ranks[internal],
+                              return_inverse=True)
+        group, row = np.empty((2, tree.n_nodes), dtype=np.int64)  # a node's group and row
         self.groups = []
-        for (_, r), nodes in sorted(buckets.items()):
-            nodes = np.array(nodes)
+        for g in range(len(keys)):
+            nodes = internal[key == g]
+            group[nodes], row[nodes] = g, np.arange(len(nodes))
+            r = ranks[nodes[0]]
             cols = first_col[nodes, None] + np.arange(r)
             branches = tree.n_children[nodes]
             k = int(branches.max())
             children = tree.first_child[nodes, None] + np.arange(k)
             children[np.arange(k) >= branches[:, None]] = tree.n_nodes
-            V = np.zeros((len(nodes), k, r))
-            # a node of rank 0 may be missing from the spans
-            for kk in np.unique(branches).tolist() if r else ():
-                at = np.flatnonzero(branches == kk)
-                V[at, :kk] = np.stack([spans[node] for node in nodes[at].tolist()])
-            self.groups.append((nodes, children, cols, V))
+            self.groups.append((nodes, children, cols, np.zeros((len(nodes), k, r))))
+        for nodes, V in stacks:
+            # a stack's nodes share a rank, so its groups are its levels
+            at = group[nodes]
+            for g in np.unique(at).tolist() if V.shape[2] else ():
+                self.groups[g][3][row[nodes[at == g]], :V.shape[1]] = V[at == g]
 
     def blocks(self) -> list:
         """The (node, first column, V) blocks of the span, in node order,

@@ -20,7 +20,7 @@ from numsens.harness import (
     verify_all,
 )
 from numsens.errors import ContractViolationError
-from numsens.market import save_market
+from numsens.market import market_to_obj, save_market
 from numsens.preferences import log_utility, mixture_utility
 from numsens.tree import AdaptedProcess
 from reference_loops import naive_dual_value
@@ -326,6 +326,46 @@ def test_cli_defaults_to_log_utility(tmp_path, t1):
     path = tmp_path / "bare.json"
     save_market(t1, path)            # no utility block
     assert main(["solve", "--spec", str(path)]) == 0
+
+
+def _without_assets(obj):
+    del obj["assets"]
+    return obj
+
+
+def _without_first_dR(obj):
+    del obj["root"]["branches"][0]["dR"]
+    return obj
+
+
+def _without_utility_kind(obj):
+    del obj["utility"]["kind"]
+    return obj
+
+
+@pytest.mark.parametrize("malform, named", [
+    (_without_assets, "'assets'"),
+    (_without_first_dR, "'dR'"),
+    (_without_utility_kind, "'kind'"),
+    (lambda obj: [obj], "JSON object, not list"),
+])
+def test_cli_malformed_market_file_exits_2(tmp_path, t1, capsys, malform, named):
+    # a malformed file is a usage error (exit 2), not a failed check (exit 1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(malform(market_to_obj(t1, log_utility()))))
+    assert main(["solve", "--spec", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and named in out
+
+
+@pytest.mark.parametrize("argv", [["solve", "--tol", "1e-6"], ["verify-all", "--tol", "1e-6"],
+                                  ["verify-all", "--dx-grid", "0.125"],
+                                  ["verify-all", "--eps-grid", "0.125"]])
+def test_cli_rejects_options_that_do_nothing(spec_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--spec", spec_path, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_emit_rejects_unknown_format(tmp_path, t1, logu):

@@ -165,12 +165,12 @@ def test_span_invariance_of_aux_values(twop, mix):
     B = mix.rrt(rep.optimum.dual.terminal)
 
     def block_mix(plan):
-        # an invertible change of each node's spanning vectors
-        out = {}
+        # an invertible change of each node's spanning vectors, one stack a node
+        stacks = []
         for node, _, V in plan.blocks():
             k = V.shape[1]
-            out[node] = V @ (rng.normal(size=(k, k)) + 3 * np.eye(k))
-        return BlockPlan(basis.tree, out)
+            stacks.append((np.array([node]), (V @ (rng.normal(size=(k, k)) + 3 * np.eye(k)))[None]))
+        return BlockPlan(basis.tree, stacks)
 
     mixed = dataclasses.replace(basis, primal_plan=block_mix(basis.primal_plan),
                                 dual_plan=block_mix(basis.dual_plan))

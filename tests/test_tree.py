@@ -333,20 +333,21 @@ def exact_weighted_lsq(tree, blocks, n_cols, weights, target, start):
     return shift + fitted.astype(float)
 
 
-def random_spans(tree, rng):
-    """Blocks of random rank 0..k-1 (rank 0 for every single-child node):
-    orthonormal one-step martingale increments, with zero mean under random
-    positive child probabilities q, so that a constant start stays apart
-    from every span as it does on a market."""
-    spans = {}
-    for node in tree.internal_nodes.tolist():
-        k = len(tree.children[node])
-        r = int(rng.integers(0, k))
-        if r:
-            q = rng.dirichlet(np.ones(k))
-            A = rng.normal(size=(k, r))
-            spans[node] = np.linalg.qr(A - q @ A)[0]
-    return spans
+def random_stacks(tree, rng):
+    """Stacks of blocks of random rank 0..k-1 (rank 0 for every single-child
+    node), one per branch count and rank: orthonormal one-step martingale
+    increments, with zero mean under random positive child probabilities q,
+    so that a constant start stays apart from every span as it does on a
+    market."""
+    stacks = []
+    for k, (nodes, _) in tree.branch_groups.items():
+        ranks = rng.integers(0, k, size=len(nodes))
+        for r in np.unique(ranks[ranks > 0]).tolist():
+            at = nodes[ranks == r]
+            q = rng.dirichlet(np.ones(k), size=len(at))[:, None, :]
+            A = rng.normal(size=(len(at), k, r))
+            stacks.append((at, np.linalg.qr(A - q @ A)[0]))
+    return stacks
 
 
 def _elimination_case(seed, kind):
@@ -358,16 +359,47 @@ def _elimination_case(seed, kind):
         m = two_asset_market(depth=2)
         return m.tree, attainable_space(m).plan, rng
     tree = make_mixed_tree(seed)
-    spans = random_spans(tree, rng)
-    plan = BlockPlan(tree, spans)
+    stacks = random_stacks(tree, rng)
+    plan = BlockPlan(tree, stacks)
     # the plan keeps each block as given and numbers the columns in node order
+    given = {int(node): V for nodes, Vs in stacks for node, V in zip(nodes, Vs)}
     blocks, col = plan.blocks(), 0
-    assert [node for node, _, _ in blocks] == sorted(spans)
+    assert [node for node, _, _ in blocks] == sorted(given)
     for node, first, V in blocks:
-        assert first == col and np.array_equal(V, spans[node])
+        assert first == col and np.array_equal(V, given[node])
         col += V.shape[1]
     assert col == plan.n_cols
     return tree, plan, rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["trinomial", "two-asset", "bases"]))
+def test_plan_from_one_stack_per_node_matches_producers(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "bases":
+        tree = make_mixed_tree(seed)
+        basis = orthogonal_spans(tree, rng.normal(size=(tree.n_nodes, 1 + seed % 3)),
+                                 rng.uniform(0.5, 1.5) * tree.leaf_prob)
+        plans = [basis.primal_plan, basis.dual_plan]
+    else:
+        m = make_random_tree(seed % 1000, depth=1 + seed % 4) if kind == "trinomial" \
+            else two_asset_market(depth=2)
+        tree, plans = m.tree, [attainable_space(m).plan]
+    for plan in plans:
+        single = BlockPlan(tree, [(np.array([node]), V[None]) for node, _, V in plan.blocks()])
+        assert single.n_cols == plan.n_cols
+        assert np.array_equal(single.col_node, plan.col_node)
+        assert len(single.groups) == len(plan.groups)
+        for got, want in zip(single.groups, plan.groups):
+            assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))
+        weights = rng.uniform(0.5, 2.0, tree.n_leaves)
+        target = rng.normal(size=tree.n_leaves)
+        c = rng.normal(size=plan.n_cols)
+        for start in (None, 0.25):
+            for a, b in zip(single.solve(weights, target, start), plan.solve(weights, target, start)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(single.process(c, 0.5), plan.process(c, 0.5))
+        assert np.array_equal(single.gradient(target), plan.gradient(target))
 
 
 @settings(max_examples=40, deadline=None)
