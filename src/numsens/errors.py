@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and a JSON lookup raising one."""
+"""Exception types shared across the package."""
 
 
 class ContractViolationError(ValueError):
@@ -23,13 +23,3 @@ class NumericalError(RuntimeError):
 
 class RepresentationError(RuntimeError):
     """A martingale cannot be represented as a stochastic integral."""
-
-
-def json_field(obj, key: str, where: str, *default):
-    """obj[key] of the JSON object obj, or the default if one is given; a
-    ContractViolationError naming `where` and the key otherwise."""
-    if not isinstance(obj, dict):
-        raise ContractViolationError(f"{where} must be a JSON object, not {type(obj).__name__}")
-    if key not in obj and not default:
-        raise ContractViolationError(f"{where} lacks the key {key!r}")
-    return obj.get(key, *default)

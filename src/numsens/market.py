@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ContractViolationError, InvariantViolationError, json_field
+from .errors import AdmissibilityError, ContractViolationError, InvariantViolationError
 from .tree import (
     AdaptedProcess,
     EventTree,
@@ -197,28 +197,30 @@ def save_market(m: MarketModel, path, utility=None) -> None:
 def market_from_obj(obj: dict):
     from .preferences import Utility  # local import to avoid a cycle
 
-    d = int(json_field(obj, "assets", "a market file"))
-    steps = int(json_field(obj, "steps", "a market file"))
+    d = int(obj["assets"])
+    steps = int(obj["steps"])
 
     parent, prob, theta_rows, dR_rows = [-1], [1.0], [np.zeros(d + 1)], [np.zeros(d)]
-    queue = [(0, json_field(obj, "root", "a market file"), 0)]
+    queue = [(0, obj["root"], 0)]
     order = 0
     while order < len(queue):
         node_id, node_obj, depth = queue[order]
         order += 1
-        branches = json_field(node_obj, "branches", "a tree node", None)
+        branches = node_obj.get("branches")
         if branches is None:
             if depth != steps:
                 raise ContractViolationError("leaf found before the declared number of steps")
             continue
-        th = np.asarray(json_field(node_obj, "theta", "a branching node"), dtype=float)
+        if "theta" not in node_obj:
+            raise ContractViolationError("every branching node needs a theta entry")
+        th = np.asarray(node_obj["theta"], dtype=float)
         if th.shape != (d + 1,):
             raise ContractViolationError("theta entries must have length assets+1")
         for b in branches:
             cid = len(parent)
             parent.append(node_id)
-            prob.append(float(json_field(b, "prob", "a branch")))
-            dr = np.asarray(json_field(b, "dR", "a branch"), dtype=float)
+            prob.append(float(b["prob"]))
+            dr = np.asarray(b["dR"], dtype=float)
             if dr.shape != (d,):
                 raise ContractViolationError("dR entries must have length equal to assets")
             dR_rows.append(dr)
@@ -243,5 +245,8 @@ def market_from_obj(obj: dict):
 
 def load_market(path):
     """Read a market file; returns (MarketModel, Utility-or-None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return market_from_obj(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return market_from_obj(json.load(fh))
+    except (KeyError, TypeError, AttributeError) as exc:   # a missing key or a wrong JSON type
+        raise ContractViolationError(f"malformed market file: {exc!r}") from exc

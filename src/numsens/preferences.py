@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalError, json_field
+from .errors import ContractViolationError, NumericalError
 
 _GRID = np.geomspace(1e-6, 1e6, 121)
 _INV_TOL = 1e-12
@@ -163,18 +163,17 @@ class Utility:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Utility":
-        kind = json_field(obj, "kind", "a utility block")
+        kind = obj["kind"]
         params = obj.get("params", {})
         c1 = obj.get("c1")
         c2 = obj.get("c2")
         if kind == "log":
             return log_utility() if c1 is None else cls("log", ((1.0, 0.0),), c1, c2)
         if kind == "power":
-            p = float(json_field(params, "p", "a power utility's params"))
+            p = float(params["p"])
             return power_utility(p) if c1 is None else cls("power", ((1.0, p),), c1, c2)
         if kind == "mixture":
-            comps = [(float(w), float(p))
-                     for w, p in json_field(params, "components", "a mixture utility's params")]
+            comps = [(float(w), float(p)) for w, p in params["components"]]
             return mixture_utility(comps, c1=c1, c2=c2)
         raise ContractViolationError(
             f"unsupported utility kind {kind!r}; exponential utility is excluded "

@@ -167,8 +167,12 @@ def recovery_residual(dec: GKWDecomposition, rep: ExpansionReport,
     """Per node, the larger deviation of the two decomposition components
     from the engine's auxiliary optimizers mapped through the change of unit
     and measure."""
+    opt = rep.optimum
+    Xv = opt.primal.wealth.values
     m1 = rep.basis.primal_plan.process(rep.M1.coeffs)
     n1 = rep.basis.dual_plan.process(rep.N1.coeffs)
-    rhs_m = (rep.optimum.primal.wealth.values / rt.process.values) * m1
-    return np.maximum(np.abs(dec.M_component.values - rhs_m),
-                      np.abs(dec.N_component.values - (rep.x / rep.y) * n1))
+    lhs_m = dec.M_component.values
+    rhs_m = (Xv / rt.process.values) * m1
+    lhs_n = dec.N_component.values
+    rhs_n = (rep.x / rep.y) * n1
+    return np.maximum(np.abs(lhs_m - rhs_m), np.abs(lhs_n - rhs_n))

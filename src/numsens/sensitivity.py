@@ -42,7 +42,7 @@ class MartingaleBasis:
     weights: np.ndarray = field(repr=False)          # pricing-measure leaf weights
     child_weights: np.ndarray = field(repr=False)    # node -> its conditional probability
     primal_plan: BlockPlan = field(repr=False, compare=False)
-    dual_plan: BlockPlan = field(repr=False, compare=False)   # None when not asked for
+    dual_plan: BlockPlan | None = field(repr=False, compare=False)   # None: hedgeable span only
 
     @property
     def primal_dim(self):
@@ -50,7 +50,7 @@ class MartingaleBasis:
 
     @property
     def dual_dim(self):
-        return self.dual_plan.n_cols
+        return self._dual().n_cols
 
     @property
     def Phi(self) -> np.ndarray:
@@ -60,7 +60,12 @@ class MartingaleBasis:
     @property
     def Psi(self) -> np.ndarray:
         """(n_leaves, dual_dim) payoff matrix, built on each access."""
-        return self.dual_plan.payoff_matrix()
+        return self._dual().payoff_matrix()
+
+    def _dual(self) -> BlockPlan:
+        if self.dual_plan is None:
+            raise ContractViolationError("this basis was built without the complement")
+        return self.dual_plan
 
 
 def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray,
@@ -68,7 +73,11 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray,
     """Per-node spans of the one-step increments of the discounted prices
     `Sdisc` and, with `complement`, their orthocomplement inside the
     zero-conditional-mean space, all under the leaf measure `r`.  Without
-    the complement the basis has no dual plan."""
+    it the basis has no dual plan and its blocks are compensated again, as
+    the SVD's weak directions carry the increments' compensation error over
+    their singular value: a kernel fit of a martingale under `r` is then its
+    node-by-node (GKW) projection.  The expansion's bases keep the SVD's
+    blocks, whose auxiliary values `perfbench/reference.json` records."""
     mass = tree.node_mass(r)
     child_w = np.ones(tree.n_nodes)
     child_w[1:] = mass[1:] / mass[tree.parent[1:]]
@@ -82,9 +91,11 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray,
         sw = np.sqrt(w)
         for sel, u_r in rank_stacks(inc * sw[:, :, None]):
             at, rank, sw_r = nodes[sel], u_r.shape[2], sw[sel][:, :, None]
-            primal.append((at, u_r / sw_r))
+            V = u_r / sw_r
             if not complement:
+                primal.append((at, V - w[sel][:, None, :] @ V))
                 continue
+            primal.append((at, V))
             if rank == k:
                 raise ContractViolationError(f"span dimensions at node {at[0]} do not fill "
                                              "the one-step space")

@@ -374,13 +374,13 @@ class BlockPlan:
         self.n_cols = int(ranks.sum())
         self.col_node = np.repeat(np.arange(tree.n_nodes), ranks)
         internal = tree.internal_nodes
-        # group g takes the g-th (level, rank) pair's nodes, in node order
-        keys, key = np.unique(tree.time[internal] * (ranks.max() + 1) + ranks[internal],
-                              return_inverse=True)
+        # the (level, rank) pairs in order, each group's nodes in node order
+        key = tree.time[internal] * (ranks.max() + 1) + ranks[internal]
+        order = np.argsort(key, kind="stable")
+        bounds = np.flatnonzero(np.diff(key[order])) + 1
         group, row = np.empty((2, tree.n_nodes), dtype=np.int64)  # a node's group and row
         self.groups = []
-        for g in range(len(keys)):
-            nodes = internal[key == g]
+        for g, nodes in enumerate(np.split(internal[order], bounds) if len(internal) else []):
             group[nodes], row[nodes] = g, np.arange(len(nodes))
             r = ranks[nodes[0]]
             cols = first_col[nodes, None] + np.arange(r)

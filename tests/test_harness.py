@@ -343,11 +343,23 @@ def _without_utility_kind(obj):
     return obj
 
 
+def _null_assets(obj):
+    obj["assets"] = None
+    return obj
+
+
+def _scalar_branches(obj):
+    obj["root"]["branches"] = 5
+    return obj
+
+
 @pytest.mark.parametrize("malform, named", [
     (_without_assets, "'assets'"),
     (_without_first_dR, "'dR'"),
     (_without_utility_kind, "'kind'"),
-    (lambda obj: [obj], "JSON object, not list"),
+    (lambda obj: [obj], "TypeError"),
+    (_null_assets, "TypeError"),
+    (_scalar_branches, "TypeError"),
 ])
 def test_cli_malformed_market_file_exits_2(tmp_path, t1, capsys, malform, named):
     # a malformed file is a usage error (exit 2), not a failed check (exit 1)
@@ -355,7 +367,7 @@ def test_cli_malformed_market_file_exits_2(tmp_path, t1, capsys, malform, named)
     path.write_text(json.dumps(malform(market_to_obj(t1, log_utility()))))
     assert main(["solve", "--spec", str(path)]) == 2
     out = capsys.readouterr().out
-    assert out.startswith("error:") and named in out
+    assert out.startswith("error: malformed market file") and named in out
 
 
 @pytest.mark.parametrize("argv", [["solve", "--tol", "1e-6"], ["verify-all", "--tol", "1e-6"],

@@ -14,6 +14,7 @@ from numsens.sensitivity import (
     build_bases,
     expansion_report,
     gradient,
+    orthogonal_spans,
     solve_aux_dual,
     solve_aux_primal,
 )
@@ -39,6 +40,18 @@ def test_basis_dimensions(binom, t1, logu):
     assert b1.primal_dim == 1 and b1.dual_dim == 0        # complete one-step market
     b2 = build_bases(solve_pair(t1, logu, 1.0))
     assert b2.primal_dim == 1 and b2.dual_dim == 1        # three branches, one asset
+
+
+def test_basis_without_complement(t1, logu):
+    full = build_bases(solve_pair(t1, logu, 1.0))
+    tree = full.tree
+    hedge = orthogonal_spans(tree, t1.asset_prices().values, full.weights, complement=False)
+    assert hedge.primal_dim == full.primal_dim and hedge.dual_plan is None
+    for node, _, V in hedge.primal_plan.blocks():
+        assert np.max(np.abs(hedge.child_weights[tree.children[node]] @ V)) < 1e-15
+    for dual_side in ("dual_dim", "Psi"):
+        with pytest.raises(ContractViolationError):
+            getattr(hedge, dual_side)
 
 
 def test_basis_martingale_and_orthogonality(twop, mix):

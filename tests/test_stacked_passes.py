@@ -187,23 +187,15 @@ def test_hedge_split(seed, kind):
     tree = m.tree
     rng = np.random.default_rng(seed)
     prices = AdaptedProcess.from_increments(tree, rng.normal(size=(tree.n_nodes, m.d + 1)))
-    basis = orthogonal_spans(tree, prices.values, rng.uniform(0.5, 1.5) * tree.leaf_prob)
-    # the split needs P to be a martingale under the basis weights, as the
-    # conditional expectation `gkw_decompose` splits is
+    # the hedgeable span alone, and P a martingale under its weights: what
+    # `gkw_decompose` splits
+    basis = orthogonal_spans(tree, prices.values, rng.uniform(0.5, 1.5) * tree.leaf_prob,
+                             complement=False)
     P = tree.conditional_expectation(basis.weights, rng.normal(size=tree.n_leaves))
     Mv, Nv, defect = _hedge_split(basis, P)
     want_M, want_N, want_defect = naive_hedge_split(basis, P)
-    # the kernel fits each node's children from the value it reached there,
-    # so a block compensated only to roundoff (w @ V of order 1e-11 where the
-    # SVD's last direction is weak) moves them by up to that defect times
-    # |V| and the node's distance |N| from P; this slack is zero when the
-    # blocks are compensated exactly
-    comp = max((np.max(np.abs(basis.child_weights[tree.children[node]] @ V)) * np.max(np.abs(V))
-                for node, _, V in basis.primal_plan.blocks()), default=0.0)
-    slack = tree.steps * comp * max(1.0, np.max(np.abs(want_N)))
-    for got, want in ((Mv, want_M), (Nv, want_N)):
-        assert np.max(np.abs(got - want)) <= TOL * max(1.0, np.max(np.abs(want))) + slack
-    assert abs(defect - want_defect) <= TOL + slack
+    assert close(Mv, want_M) and close(Nv, want_N)
+    assert abs(defect - want_defect) <= TOL
 
 
 @settings(max_examples=20, deadline=None)
