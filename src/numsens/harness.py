@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AdmissibilityError, ContractViolationError
 from .instances import binomial_walk_market, three_time_jump_market
@@ -48,7 +47,7 @@ from .market import (
 from .preferences import Utility, log_utility, power_utility
 from .risktol import gkw_decompose, hessian_from_gkw, recovery_residual, risk_tolerance
 from .sensitivity import ExpansionReport, aux_relation_report, expansion_report
-from .solver import Optimum, solve_pair, solve_primal, verify_deflator
+from .solver import Optimum, brentq, solve_pair, solve_primal, verify_deflator
 from .strategy import (
     StrategyKit,
     characteristics,
@@ -203,6 +202,11 @@ class Campaign:
                 )
             if dx == 0.0 and e == 0.0:
                 raise ContractViolationError("grid points must have a nonzero radius")
+        # the decay checks compare consecutive points: fewer than two would
+        # pass them with no ratio tested
+        if len(self.dx_grid) < 2:
+            raise ContractViolationError(
+                f"a campaign grid needs at least two points, got {len(self.dx_grid)}")
 
 
 def dyadic_campaign(model, utility, x, k_range=range(3, 9), direction=(1.0, 1.0), **kw) -> Campaign:
@@ -498,6 +502,9 @@ def _counterexample_integrability(depths, p, tail_power, c) -> Report:
                  metadata={"depths": ",".join(str(d) for d in depths),
                            "p": p, "tail_power": tail_power, "c": c})
     models = [binomial_walk_market(L, tail_power) for L in depths]
+    if len(depths) < 2:
+        raise ContractViolationError(
+            f"the integrability counterexample needs at least two depths, got {list(depths)}")
     u = power_utility(p)
     jump_max = max(float(np.max(np.abs(mm.rbar_increments()))) for mm in models)
     eps_star = 0.45 / jump_max

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .errors import ContractViolationError
 from .market import MarketModel
 from .tree import AdaptedProcess, EventTree, PredictableProcess
 
@@ -132,6 +133,8 @@ def binomial_walk_market(depth: int, tail_power: float = 3.0):
     is the do-nothing portfolio; the perturbation weights grow with depth,
     which is the point of the stress model.
     """
+    if depth < 1:
+        raise ContractViolationError(f"binomial walk depth must be at least 1, got {depth}")
     h = 1.0 / math.sqrt(depth)
     n_nodes = 2 ** (depth + 1) - 1
     parent = [-1] + [(i - 1) // 2 for i in range(1, n_nodes)]

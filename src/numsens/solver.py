@@ -20,6 +20,13 @@ wealth is a martingale by construction.  On a finite tree the first-order
 conditions are two-sided, so the constructed deflator is itself a
 martingale; `verify_deflator` checks the supermartingale inequalities
 directly.
+
+SciPy is imported on first use, through `linprog` (the one-step arbitrage
+LP for d >= 2 stocks) and `brentq` (the campaigns' dual root-find), the
+package's only two entry points into it.  Importing `scipy.optimize` costs
+several times what the rest of the package does, and a solve on a
+single-stock tree, its expansion and its risk-tolerance report never
+need it.
 """
 
 from __future__ import annotations
@@ -28,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# brentq is unused here; perfbench's `solver.root_find` layer still patches it
-from scipy.optimize import brentq, linprog  # noqa: F401
 
 from .errors import (
     ContractViolationError,
@@ -44,6 +49,23 @@ from .tree import AdaptedProcess, BlockPlan, EventTree, PredictableProcess, rank
 _ARB_TOL = 1e-11
 _NEWTON_TOL = 1e-13       # relative first-order residual that ends Newton
 _NEWTON_MAX_ITER = 200
+
+
+# ---------------------------------------------------------------------------
+# SciPy, imported on first use
+# ---------------------------------------------------------------------------
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`; only the d >= 2 arbitrage check calls it."""
+    from scipy.optimize import linprog as _linprog
+    return _linprog(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """`scipy.optimize.brentq`; only the campaigns' dual root-find calls it."""
+    from scipy.optimize import brentq as _brentq
+    return _brentq(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -411,3 +411,31 @@ def test_cli_arbitrage_market_reports_error(tmp_path, capsys):
 def test_campaign_rejects_degenerate_point(t1, logu):
     with pytest.raises(ContractViolationError):
         Campaign(model=t1, utility=logu, x=1.0, dx_grid=(0.0,), eps_grid=(0.0,))
+
+
+@pytest.mark.parametrize("grids, count", [
+    (["--dx-grid", ","], 0),
+    (["--dx-grid", "0.125", "--eps-grid", "0.125"], 1),
+])
+@pytest.mark.parametrize("command", ["expand", "strategy"])
+def test_cli_rejects_grids_too_short_to_decay(spec_path, capsys, command, grids, count):
+    # a decay check needs two grid points: fewer would pass it with no ratio tested
+    assert main([command, "--spec", spec_path, *grids]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and f"at least two points, got {count}" in out
+
+
+def test_campaign_rejects_one_point_grid(t1, logu):
+    with pytest.raises(ContractViolationError, match="got 1"):
+        Campaign(model=t1, utility=logu, x=1.0, dx_grid=(0.1,), eps_grid=(0.1,))
+
+
+@pytest.mark.parametrize("depths, named", [
+    ("0", "depth must be at least 1, got 0"),
+    ("-2", "depth must be at least 1, got -2"),
+    ("1", "at least two depths, got [1]"),
+])
+def test_cli_integrability_rejects_bad_depths(capsys, depths, named):
+    assert main(["counterexample", "integrability", "--depths", depths]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and named in out
