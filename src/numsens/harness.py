@@ -474,6 +474,8 @@ def run_counterexample(which: str, *, eps_list=(0.25, -0.25, 0.5, -0.5, 1.0, -1.
 
 
 def _counterexample_unbounded_jumps(eps_list, n_max) -> Report:
+    if not eps_list:
+        raise ContractViolationError("the unbounded-jumps counterexample needs a perturbation size")
     m = three_time_jump_market(n_max)
     rep = Report(title="counterexample-unbounded-jumps",
                  metadata={"model": partial(model_digest, m), "n_max": n_max})

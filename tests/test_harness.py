@@ -430,12 +430,14 @@ def test_campaign_rejects_one_point_grid(t1, logu):
         Campaign(model=t1, utility=logu, x=1.0, dx_grid=(0.1,), eps_grid=(0.1,))
 
 
-@pytest.mark.parametrize("depths, named", [
-    ("0", "depth must be at least 1, got 0"),
-    ("-2", "depth must be at least 1, got -2"),
-    ("1", "at least two depths, got [1]"),
+@pytest.mark.parametrize("argv, named", [
+    (["integrability", "--depths", "0"], "depth must be at least 1, got 0"),
+    (["integrability", "--depths", "-2"], "depth must be at least 1, got -2"),
+    (["integrability", "--depths", "1"], "at least two depths, got [1]"),
+    (["unbounded-jumps", "--eps-grid", ","], "needs a perturbation size"),
 ])
-def test_cli_integrability_rejects_bad_depths(capsys, depths, named):
-    assert main(["counterexample", "integrability", "--depths", depths]) == 2
+def test_cli_counterexample_rejects_bad_grids(capsys, argv, named):
+    # each would otherwise crash, or pass with no check run
+    assert main(["counterexample", *argv]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error:") and named in out
