@@ -425,11 +425,6 @@ def test_cli_rejects_grids_too_short_to_decay(spec_path, capsys, command, grids,
     assert out.startswith("error:") and f"at least two points, got {count}" in out
 
 
-def test_campaign_rejects_one_point_grid(t1, logu):
-    with pytest.raises(ContractViolationError, match="got 1"):
-        Campaign(model=t1, utility=logu, x=1.0, dx_grid=(0.1,), eps_grid=(0.1,))
-
-
 @pytest.mark.parametrize("argv, named", [
     (["integrability", "--depths", "0"], "depth must be at least 1, got 0"),
     (["integrability", "--depths", "-2"], "depth must be at least 1, got -2"),
