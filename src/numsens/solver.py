@@ -21,12 +21,14 @@ conditions are two-sided, so the constructed deflator is itself a
 martingale; `verify_deflator` checks the supermartingale inequalities
 directly.
 
-SciPy is imported on first use, through `linprog` (the one-step arbitrage
-LP for d >= 2 stocks) and `brentq` (the campaigns' dual root-find), the
-package's only two entry points into it.  Importing `scipy.optimize` costs
-several times what the rest of the package does, and a solve on a
-single-stock tree, its expansion and its risk-tolerance report never
-need it.
+No-arbitrage is checked node by node before the space is built: for one
+stock by the signs of the moves, for d >= 2 stocks by a stacked Esscher
+certificate (`_esscher_certified`), and only the nodes it cannot certify
+go to a per-node LP.  SciPy is imported on first use, through `linprog`
+(that LP) and `brentq` (which no package code calls), the package's only
+two entry points into it.  Importing `scipy.optimize` costs several times
+what the rest of the package does, and no step of `verify_all` on an
+arbitrage-free market whose every node certifies needs it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ from .preferences import Utility
 from .tree import AdaptedProcess, BlockPlan, EventTree, PredictableProcess, rank_stacks
 
 _ARB_TOL = 1e-11
+_ESSCHER_TOL = 1e-12      # gradient that ends the certificate's Newton
+_ESSCHER_MAX_ITER = 50
+_ROUNDOFF = 1e-14         # constraint residual of a certified pricing vector
 _NEWTON_TOL = 1e-13       # relative first-order residual that ends Newton
 _NEWTON_MAX_ITER = 200
 
@@ -63,7 +68,9 @@ def linprog(*args, **kwargs):
 
 
 def brentq(*args, **kwargs):
-    """`scipy.optimize.brentq`; only the campaigns' dual root-find calls it."""
+    """`scipy.optimize.brentq`.  No package code calls it; it stays because
+    the benchmark traces it as its `solver.root_find` and `harness.root_find`
+    layers (`perfbench/tracing.py`, checked by `tests/test_perfbench_names.py`)."""
     from scipy.optimize import brentq as _brentq
     return _brentq(*args, **kwargs)
 
@@ -116,9 +123,82 @@ def _one_step_arbitrage(D: np.ndarray) -> bool:
     c[k] = -1.0
     res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
                   bounds=[(None, None)] * (k + 1), method="highs")
+    if res.status == 2:
+        # no signed q either: 0 lies outside the affine hull of the moves, so
+        # some portfolio gains the same positive amount on every move
+        return True
     if res.status != 0:
         raise NumericalError(f"arbitrage-check LP failed: {res.message}")
     return res.x[k] <= _ARB_TOL
+
+
+def _log_partition(D, c):
+    """log sum_i exp(c·D_i) at each node of an (n, k, d) stack of moves, and
+    the Esscher weights q ∝ exp(c·D)."""
+    s = np.einsum("nkd,nd->nk", D, c)
+    top = s.max(axis=1, keepdims=True)
+    e = np.exp(s - top)
+    total = e.sum(axis=1, keepdims=True)
+    return top[:, 0] + np.log(total[:, 0]), e / total
+
+
+def _esscher_certified(D: np.ndarray) -> np.ndarray:
+    """For an (n, k, d) stack of one-step moves, True where a node provably
+    has no arbitrage; False leaves the node to the LP.
+
+    A node has no arbitrage iff min_c log sum_i exp(c·D_i) is attained, and
+    the minimizer's Esscher weights q ∝ exp(c·D) then price it (Rogers 1994,
+    after Dalang–Morton–Willinger).  One damped Newton runs on the whole
+    stack; each node's weights are then projected exactly onto
+    {D'q = 0, sum q = 1}.  A projected floor above `_ARB_TOL` with the
+    constraints met to roundoff is a feasible point of the LP's floor
+    maximization, so the LP passes every node certified here."""
+    n, k, d = D.shape
+    scale = np.max(np.abs(D), axis=(1, 2))
+    D = D / np.where(scale > 0.0, scale, 1.0)[:, None, None]   # as the LP scales
+    c = np.zeros((n, d))
+    f, q = _log_partition(D, c)
+    live = np.ones(n, dtype=bool)
+    for _ in range(_ESSCHER_MAX_ITER):
+        mean = np.einsum("nk,nkd->nd", q, D)      # the gradient in c
+        live &= np.max(np.abs(mean), axis=1) > _ESSCHER_TOL
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        Dc = D[idx] - mean[idx, None, :]
+        cov = np.einsum("nk,nki,nkj->nij", q[idx], Dc, Dc)
+        # an arbitrage drives c off to infinity and the weights onto fewer
+        # moves, until the step overflows: such a node stops where it is
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = -(np.linalg.pinv(cov, hermitian=True) @ mean[idx, :, None])[:, :, 0]
+            slope = np.einsum("nd,nd->n", mean[idx], step)
+        descent = np.isfinite(slope) & (slope < 0.0)
+        live[idx[~descent]] = False
+        idx, step, slope = idx[descent], step[descent], slope[descent]
+        # halve each node's step until its objective falls enough; within
+        # roundoff of f no fall shows, and the full step is taken
+        t = np.ones(idx.size)
+        fn, qn = _log_partition(D[idx], c[idx] + step)
+        short = (fn > f[idx] + 1e-4 * slope) & (-slope > 1e-15 * np.maximum(1.0, np.abs(f[idx])))
+        for _ in range(60):
+            b = np.flatnonzero(short)
+            if not b.size:
+                break
+            t[b] *= 0.5
+            fn[b], qn[b] = _log_partition(D[idx[b]], c[idx[b]] + t[b, None] * step[b])
+            short[b] = fn[b] > f[idx[b]] + 1e-4 * t[b] * slope[b]
+        live[idx[short]] = False
+        ok = ~short
+        idx = idx[ok]
+        c[idx] += t[ok, None] * step[ok]
+        f[idx], q[idx] = fn[ok], qn[ok]
+    # the exact projection onto {D'q = 0, sum q = 1}
+    A = np.concatenate([D.transpose(0, 2, 1), np.ones((n, 1, k))], axis=1)
+    rhs = np.zeros((d + 1, 1))
+    rhs[d] = 1.0
+    q = q - (np.linalg.pinv(A) @ (A @ q[:, :, None] - rhs))[:, :, 0]
+    resid = np.max(np.abs(A @ q[:, :, None] - rhs), axis=(1, 2))
+    return (q.min(axis=1) > _ARB_TOL) & (resid <= _ROUNDOFF)
 
 
 def attainable_space(m: MarketModel) -> AttainableSpace:
@@ -134,7 +214,12 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
                 (v.max(axis=1) > 0.0) & (v.min(axis=1) < 0.0))
         first = next(iter(np.flatnonzero(arb)), None)
     else:
-        first = next((node for node in tree.internal_nodes
+        # the stacked certificate clears the nodes it can; the LP decides the
+        # rest, in node order
+        doubt = np.zeros(tree.n_nodes, dtype=bool)
+        for nodes, ch in tree.branch_groups.values():
+            doubt[nodes] = ~_esscher_certified(dR[ch][:, :, 1:])
+        first = next((node for node in np.flatnonzero(doubt)
                       if _one_step_arbitrage(dR[tree.children[node]][:, 1:])), None)
     if first is not None:
         raise NoOptimizerError(

@@ -221,9 +221,10 @@ def naive_first_negative(tree, N):
 
 
 def naive_dual_value(m, utility, x, yt, eps):
-    """(v(yt, eps), number of primal solves): the primal re-solved at the
-    wealth whose marginal is yt, bracketed from x by halving and doubling,
-    then `brentq` and the dual at the root, each wealth solved once."""
+    """(v(yt, eps), number of primal solves, primal solution at the root):
+    the primal re-solved at the wealth whose marginal is yt, bracketed from x
+    by halving and doubling, then `brentq` and the dual at the root, each
+    wealth solved once."""
     solved = {}
 
     def marg(xx):
@@ -242,7 +243,7 @@ def naive_dual_value(m, utility, x, yt, eps):
         hi *= 2.0
     xs = x if lo == hi else brentq(marg, lo, hi, xtol=1e-15, rtol=8.9e-16)
     marg(xs)
-    return solve_dual(solved[xs]).value, len(solved)
+    return solve_dual(solved[xs]).value, len(solved), solved[xs]
 
 
 def naive_pricing_weights(m):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+from functools import partial
 
 import pytest
 
@@ -19,10 +20,12 @@ from numsens.harness import (
     solve_report,
     verify_all,
 )
-from numsens.errors import ContractViolationError
+from numsens.errors import ContractViolationError, NumericalError
+from numsens.instances import two_asset_market
 from numsens.market import market_to_obj, save_market
-from numsens.preferences import log_utility, mixture_utility
+from numsens.preferences import log_utility, mixture_utility, power_utility
 from numsens.tree import AdaptedProcess
+from conftest import make_random_tree
 from reference_loops import naive_dual_value
 
 
@@ -227,20 +230,53 @@ def test_verify_all_solves_each_point_once_on_the_calling_thread(monkeypatch, tw
     assert {thread for _, _, thread in solves} == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir"])
-@pytest.mark.parametrize("utility", ["logu", "halfpow", "mix"])
+# markets beyond the shared fixtures that the dual root-find runs on
+MORE_MARKETS = {"two2": lambda: two_asset_market(depth=2),
+                **{f"tri{s}": partial(make_random_tree, s, depth=3) for s in range(3)}}
+
+
+@pytest.fixture
+def negpow():
+    return power_utility(-2.0)
+
+
+@pytest.fixture
+def survey_mix():
+    return mixture_utility([(0.5, 0.0), (0.5, -1.0)])
+
+
+@pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir", *MORE_MARKETS])
+@pytest.mark.parametrize("utility", ["logu", "halfpow", "mix", "negpow", "survey_mix"])
 def test_seeded_dual_resolve_matches_the_wide_bracket(monkeypatch, request, market, utility):
-    m, u = request.getfixturevalue(market), request.getfixturevalue(utility)
+    m = MORE_MARKETS[market]() if market in MORE_MARKETS else request.getfixturevalue(market)
+    u = request.getfixturevalue(utility)
     ex = sensitivity.expansion_report(m, u, 1.0)
     camp = dyadic_campaign(m, u, 1.0, k_range=range(3, 9))
     solves = _count_calls(monkeypatch, "solve_primal")
     for dy, e in zip(camp.dx_grid, camp.eps_grid):
-        want, oracle_solves = naive_dual_value(m, u, 1.0, ex.y + dy, e)
+        yt = ex.y + dy
+        want, oracle_solves, root = naive_dual_value(m, u, 1.0, yt, e)
         solves.clear()
         got = harness._dual_value(ex, dy, e)
-        # v = u - x y: its rounding is relative to the larger of v and x y
-        assert abs(got - want) <= 1e-14 * max(abs(want), 1.0 * (ex.y + dy))
-        assert len(solves) <= oracle_solves
+        # u(x) - x·yt is stationary at the root, and both root-finds stop
+        # within about 1e-15 of it, so the values differ by the rounding of
+        # u - x·yt alone: a few ulps of its larger term
+        scale = max(abs(root.value), root.x * yt)
+        assert abs(got - (root.value - root.x * yt)) <= 4 * 2.0**-52 * scale
+        # the oracle's dual value E[V(U'(X_T))] carries the conjugacy's rounding
+        assert abs(got - want) <= 1e-14 * max(abs(want), 1.0 * yt)
+        assert len(solves) <= min(oracle_solves, 5)
+
+
+def test_dual_root_find_names_where_it_stopped(monkeypatch, t1, logu):
+    ex = sensitivity.expansion_report(t1, logu, 1.0)
+    base = ex.optimum.primal
+    # a marginal that never reaches the target drives the search to its cap
+    stuck = dataclasses.replace(base, marginal=base.marginal + 1.0)
+    monkeypatch.setattr(harness, "solve_primal", lambda *args, **kwargs: stuck)
+    with pytest.raises(NumericalError, match=r"dy=0\.125, eps=0\.0625.*"
+                       r"last wealth .*marginal residual"):
+        harness._dual_value(ex, 0.125, 0.0625)
 
 
 def test_one_model_builds_its_space_once_across_reports(monkeypatch, twop, halfpow):

@@ -124,6 +124,81 @@ def test_one_step_arbitrage_detected(logu):
         solve_primal(m, logu, 1.0, 0.0)
 
 
+def _random_nodes(rng, d):
+    """(label, D) one-step move matrices of d stocks: generic, rank-deficient
+    and zero nodes, pricing vectors with a floor near `_ARB_TOL`, and exact
+    arbitrages."""
+    nodes = []
+    for k in (d + 1, d + 2, 6):
+        for _ in range(12):
+            nodes.append(("generic", rng.normal(size=(k, d))))
+            q = rng.uniform(0.1, 1.0, k)
+            q /= q.sum()
+            D = rng.normal(size=(k, d))
+            D -= q @ D
+            nodes.append(("rank-1", D[:, :1] @ rng.normal(size=(1, d))))
+            nodes.append(("arbitrage", np.abs(D)))
+            c = rng.normal(size=d)
+            nodes.append(("arbitrage", D - np.minimum(0.0, D @ c)[:, None] * c / (c @ c)))
+    nodes.append(("zero", np.zeros((3, d))))
+    nodes.append(("arbitrage", np.tile(rng.normal(size=d), (4, 1))))
+    # one pricing vector, so the LP's best floor is its smallest weight
+    for floor in (0.5, 0.9, 1.1, 2.0, 10.0, 1e3):
+        for _ in range(5):
+            q = rng.uniform(0.2, 1.0, d + 1)
+            q[0] = 0.0
+            q *= (1.0 - floor * solver._ARB_TOL) / q.sum()
+            q[0] = floor * solver._ARB_TOL
+            D = rng.normal(size=(d + 1, d))
+            nodes.append(("floor above" if floor > 1.0 else "floor below", D - q @ D))
+    return nodes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_esscher_certificate_only_clears_nodes_the_lp_passes(d):
+    nodes = _random_nodes(np.random.default_rng(d), d)
+    # stacked by branch count, as attainable_space stacks a branch group
+    certified = np.zeros(len(nodes), dtype=bool)
+    for k in {D.shape[0] for _, D in nodes}:
+        idx = [i for i, (_, D) in enumerate(nodes) if D.shape[0] == k]
+        certified[idx] = solver._esscher_certified(np.stack([nodes[i][1] for i in idx]))
+    lp_arbitrage = np.array([solver._one_step_arbitrage(D) for _, D in nodes])
+    labels = np.array([label for label, _ in nodes])
+    assert not np.any(certified & lp_arbitrage)
+    assert not np.any(certified[labels == "arbitrage"])
+    # the certificate does the work: it clears nearly every node the LP passes
+    assert np.mean(certified[~lp_arbitrage]) >= 0.95
+    assert np.all(certified[labels == "zero"])
+    assert np.all(certified[labels == "rank-1"])
+    # a floor just above the LP's limit certifies, and one just below is an
+    # arbitrage to both
+    assert np.all(certified[labels == "floor above"])
+    assert np.all(lp_arbitrage[labels == "floor below"])
+
+
+def _two_asset_market_with_arbitrage(depth, nodes):
+    """`two_asset_market(depth)` with the first stock rising on every move
+    out of each of `nodes`."""
+    m = two_asset_market(depth=depth)
+    inc = m.returns.increments()
+    for node in nodes:
+        ch = m.tree.children[node]
+        inc[ch, 1] = np.abs(inc[ch, 1])
+    return MarketModel(m.tree, AdaptedProcess.from_increments(m.tree, inc), m.theta)
+
+
+def test_deep_two_asset_arbitrage_names_its_first_node(logu):
+    m = _two_asset_market_with_arbitrage(3, [17, 9])
+    dR = m.returns.increments()
+    # the check node by node, every node through the LP
+    first = next(node for node in m.tree.internal_nodes
+                 if solver._one_step_arbitrage(dR[m.tree.children[node]][:, 1:]))
+    assert first == 9
+    with pytest.raises(NoOptimizerError, match=r"^one-step arbitrage at node 9: no optimizer "
+                       r"exists \(NUPBR fails\)$"):
+        solve_primal(m, logu, 1.0, 0.0)
+
+
 def test_value_monotone_concave_in_wealth(twop, mix):
     xs = np.linspace(0.5, 3.0, 9)
     vals = [solve_primal(twop, mix, float(x), 0.1).value for x in xs]
