@@ -165,6 +165,8 @@ def test_esscher_certificate_only_clears_nodes_the_lp_passes(d):
     lp_arbitrage = np.array([solver._one_step_arbitrage(D) for _, D in nodes])
     labels = np.array([label for label, _ in nodes])
     assert not np.any(certified & lp_arbitrage)
+    # moves all equal leave the LP infeasible, which is an arbitrage too
+    assert np.all(lp_arbitrage[labels == "arbitrage"])
     assert not np.any(certified[labels == "arbitrage"])
     # the certificate does the work: it clears nearly every node the LP passes
     assert np.mean(certified[~lp_arbitrage]) >= 0.95
@@ -176,20 +178,14 @@ def test_esscher_certificate_only_clears_nodes_the_lp_passes(d):
     assert np.all(lp_arbitrage[labels == "floor below"])
 
 
-def _two_asset_market_with_arbitrage(depth, nodes):
-    """`two_asset_market(depth)` with the first stock rising on every move
-    out of each of `nodes`."""
-    m = two_asset_market(depth=depth)
-    inc = m.returns.increments()
-    for node in nodes:
-        ch = m.tree.children[node]
-        inc[ch, 1] = np.abs(inc[ch, 1])
-    return MarketModel(m.tree, AdaptedProcess.from_increments(m.tree, inc), m.theta)
-
-
 def test_deep_two_asset_arbitrage_names_its_first_node(logu):
-    m = _two_asset_market_with_arbitrage(3, [17, 9])
+    m = two_asset_market(depth=3)
     dR = m.returns.increments()
+    for node in (17, 9):
+        # the first stock rises on every move out of the node
+        ch = m.tree.children[node]
+        dR[ch, 1] = np.abs(dR[ch, 1])
+    m = MarketModel(m.tree, AdaptedProcess.from_increments(m.tree, dR), m.theta)
     # the check node by node, every node through the LP
     first = next(node for node in m.tree.internal_nodes
                  if solver._one_step_arbitrage(dR[m.tree.children[node]][:, 1:]))
