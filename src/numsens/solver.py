@@ -172,21 +172,23 @@ def _esscher_certified(D: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             step = -(np.linalg.pinv(cov, hermitian=True) @ mean[idx, :, None])[:, :, 0]
             slope = np.einsum("nd,nd->n", mean[idx], step)
-        descent = np.isfinite(slope) & (slope < 0.0)
-        live[idx[~descent]] = False
-        idx, step, slope = idx[descent], step[descent], slope[descent]
-        # halve each node's step until its objective falls enough; within
-        # roundoff of f no fall shows, and the full step is taken
-        t = np.ones(idx.size)
-        fn, qn = _log_partition(D[idx], c[idx] + step)
-        short = (fn > f[idx] + 1e-4 * slope) & (-slope > 1e-15 * np.maximum(1.0, np.abs(f[idx])))
-        for _ in range(60):
-            b = np.flatnonzero(short)
-            if not b.size:
-                break
-            t[b] *= 0.5
-            fn[b], qn[b] = _log_partition(D[idx[b]], c[idx[b]] + t[b, None] * step[b])
-            short[b] = fn[b] > f[idx[b]] + 1e-4 * t[b] * slope[b]
+            descent = np.isfinite(slope) & (slope < 0.0)
+            live[idx[~descent]] = False
+            idx, step, slope = idx[descent], step[descent], slope[descent]
+            # halve each node's step until its objective falls enough (a NaN
+            # never does); within roundoff of f no fall shows, and the full
+            # step is taken
+            t = np.ones(idx.size)
+            fn, qn = _log_partition(D[idx], c[idx] + step)
+            flat = -slope <= 1e-15 * np.maximum(1.0, np.abs(f[idx]))
+            short = ~((fn <= f[idx] + 1e-4 * slope) | (flat & np.isfinite(fn)))
+            for _ in range(60):
+                b = np.flatnonzero(short)
+                if not b.size:
+                    break
+                t[b] *= 0.5
+                fn[b], qn[b] = _log_partition(D[idx[b]], c[idx[b]] + t[b, None] * step[b])
+                short[b] = ~(fn[b] <= f[idx[b]] + 1e-4 * t[b] * slope[b])
         live[idx[short]] = False
         ok = ~short
         idx = idx[ok]
