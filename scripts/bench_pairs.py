@@ -7,10 +7,14 @@ side in turn, `--pairs` times, alternating which side runs first.  The runs
 are appended, as one named set, to `BENCH_<yyyymmdd>_<workload>.json` at the
 repository root, and each end-to-end metric's median, quartiles and win
 count over the pairs are printed (and kept in the set's entry).  Each run
-lasts the `run_seconds` of `BENCHMARK.json`.
+lasts the `run_seconds` of `BENCHMARK.json`.  Several workloads, or `all`
+of those `BENCHMARK.json` declares, run one after another in one command,
+each with its own pairs and record, so one command records a claimed gain
+on one workload and the no-regression pairs of the others.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload analyze-deep \\
         --set my-change --note "what the change does" --pairs 10 --seed 0
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload all --set my-change
 
 A side wins a pair when its value is better than the other side's in the
 direction `BENCHMARK.json` gives.  A gain is claimable when the change wins
@@ -112,14 +116,65 @@ def _revision(rev: str) -> str:
     return done.stdout.strip()
 
 
+def workload_names(requested, benchmark: dict) -> list:
+    """The workloads to run, in the order asked: `all` stands for every
+    workload `BENCHMARK.json` declares, in its order; a name given twice
+    runs once."""
+    declared = [w["name"] for w in benchmark["workloads"]]
+    names = []
+    for name in requested:
+        for one in declared if name == "all" else [name]:
+            if one not in declared:
+                raise SystemExit(f"bench_pairs: unknown workload {one!r}; "
+                                 f"BENCHMARK.json declares {', '.join(declared)}")
+            if one not in names:
+                names.append(one)
+    return names
+
+
+def _record_path(workload: str) -> Path:
+    return ROOT / f"BENCH_{datetime.date.today():%Y%m%d}_{workload}.json"
+
+
+def run_set(workload, sides, args, better, seconds) -> None:
+    """The interleaved pairs of one workload, appended as the set `args.set`
+    to the workload's record, and their summary printed."""
+    path = _record_path(workload)
+    record = json.loads(path.read_text()) if path.exists() else {
+        "workload": workload, "date": f"{datetime.date.today()}",
+        "command": COMMAND.format(workload=workload, seconds=seconds),
+        "host": f"{_host()}; parent and change runs interleaved, alternating which runs first",
+        "runs": [], "sets": {}}
+    runs = []
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            run = _run(sides[side], workload, args.seed, seconds)
+            runs.append({"set": args.set, "side": side, "pair": pair, "seed": args.seed, **run})
+            print(f"{workload} pair {pair} {side}: correct {run['correct']}, "
+                  + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items()),
+                  flush=True)
+    rows = summarize(runs, better)
+    record["runs"].extend(runs)
+    record["sets"][args.set] = {
+        "parent_commit": _revision(args.parent), "note": args.note,
+        "code": (f"revision {_revision(args.change)}" if args.change
+                 else f"the working tree on {_revision('HEAD')}"),
+        "seed": args.seed, "summary": rows}
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(format_rows(rows))
+    print(f"wrote {path.name}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True,
                     help="git revision the change is measured against")
     ap.add_argument("--change", default=None,
                     help="git revision of the change (default: the working tree)")
-    ap.add_argument("--workload", required=True, help="perfbench workload name")
-    ap.add_argument("--set", required=True, help="name of the set of runs in the record")
+    ap.add_argument("--workload", required=True, nargs="+",
+                    help="perfbench workload names, or all")
+    ap.add_argument("--set", required=True, help="name of the set of runs in each record")
     ap.add_argument("--note", default="", help="what the change does, for the record")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
@@ -128,39 +183,17 @@ def main(argv=None) -> int:
         ap.error("--pairs must be positive")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, seconds = directions(benchmark), benchmark["run_seconds"]
-
-    path = ROOT / f"BENCH_{datetime.date.today():%Y%m%d}_{args.workload}.json"
-    record = json.loads(path.read_text()) if path.exists() else {
-        "workload": args.workload, "date": f"{datetime.date.today()}",
-        "command": COMMAND.format(workload=args.workload, seconds=seconds),
-        "host": f"{_host()}; parent and change runs interleaved, alternating which runs first",
-        "runs": [], "sets": {}}
-    if args.set in record["sets"]:
-        raise SystemExit(f"bench_pairs: set {args.set!r} is already in {path.name}")
+    workloads = workload_names(args.workload, benchmark)
+    for workload in workloads:
+        path = _record_path(workload)
+        if path.exists() and args.set in json.loads(path.read_text())["sets"]:
+            raise SystemExit(f"bench_pairs: set {args.set!r} is already in {path.name}")
     parent = _revision(args.parent)
-    runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": _export(parent, Path(tmp) / "parent"),
                  "change": _export(args.change, Path(tmp) / "change") if args.change else ROOT}
-        for pair in range(1, args.pairs + 1):
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for side in order:
-                run = _run(sides[side], args.workload, args.seed, seconds)
-                runs.append({"set": args.set, "side": side, "pair": pair, "seed": args.seed,
-                             **run})
-                print(f"pair {pair} {side}: correct {run['correct']}, "
-                      + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items()),
-                      flush=True)
-    rows = summarize(runs, better)
-    record["runs"].extend(runs)
-    record["sets"][args.set] = {
-        "parent_commit": parent, "note": args.note,
-        "code": (f"revision {_revision(args.change)}" if args.change
-                 else f"the working tree on {_revision('HEAD')}"),
-        "seed": args.seed, "summary": rows}
-    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(format_rows(rows))
-    print(f"wrote {path.name}")
+        for workload in workloads:
+            run_set(workload, sides, args, better, seconds)
     return 0
 
 

@@ -35,6 +35,7 @@ from .solver import (
     solve_dual,
     solve_pair,
     solve_primal,
+    solve_values,
     verify_deflator,
 )
 from .strategy import (

@@ -8,11 +8,18 @@ Asymptotic claims are tested as monotone residual-ratio decay on dyadic
 grids with a solver-tolerance floor, since no single grid point can
 witness a little-o statement.
 
-Campaign re-solves run serially in the calling thread.  Each solve is a
+Campaign re-solves run in the calling thread, batched: the grid points
+of one campaign are the columns of one Newton pass (`solver.solve_values`),
+which pays each elimination's per-call numpy cost once for all of them.
+The six +-h envelope solves run as one cold batch, and the grid's u
+re-solves fill `Campaign._exact` in one warm batch.  The dual values'
+root-finds (`_dual_values`) run in lockstep, each round solving the next
+wealth of every unfinished grid point together, so each point sees the
+solves it sees alone.  Threads cannot overlap these solves: each is a
 chain of small numpy calls that holds the interpreter lock most of the
-time, so threads cannot overlap them: on a 2-core host, six `verify_all`
-runs on 73- to 261-node trinomials took 9.6-10.3 s with a 4-thread pool
-and 6.0-6.5 s serially, with identical report bytes.
+time (on a 2-core host, six `verify_all` runs on 73- to 261-node
+trinomials took 9.6-10.3 s with a 4-thread pool and 6.0-6.5 s serially,
+with identical report bytes).
 
 Every tree, complete or not, solves by Newton on its attainable space's
 plan.  Every re-solve of a grid point, and every solve of the dual value's
@@ -21,7 +28,7 @@ of the optimum (`ExpansionReport.newton_start`), which needs a fraction of
 the steps a start from the riskless wealth does; a campaign run standalone
 holds the same expansion as one inside `verify_all`, so both start alike.
 The root-find itself is a safeguarded secant search on the marginal
-(`_dual_value`), at most five solves per grid point on the test markets,
+(`_dual_search`), at most five solves per grid point on the test markets,
 and needs no SciPy.
 The envelope check's +-h solves start cold: that check reads differences
 of values at the solves' noise floor, and warm solves moved its verdicts.
@@ -50,7 +57,7 @@ from .market import (
 from .preferences import Utility, log_utility, power_utility
 from .risktol import gkw_decompose, hessian_from_gkw, recovery_residual, risk_tolerance
 from .sensitivity import ExpansionReport, aux_relation_report, expansion_report
-from .solver import Optimum, solve_pair, solve_primal, verify_deflator
+from .solver import Optimum, solve_pair, solve_primal, solve_values, verify_deflator
 # nothing here calls `brentq`: the name stays because the benchmark traces it
 # as its `harness.root_find` layer (`perfbench/tracing.py`, checked by
 # `tests/test_perfbench_names.py`)
@@ -247,16 +254,16 @@ def _decay_check(report, name, anchor, residuals, factor, floor):
                0.0 if passed else factor - worst, passed, note)
 
 
-def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
-    """v(y + dy, e) from exact re-solves: u(x) - x·(y + dy) at the wealth x
-    whose marginal is y + dy.  Since dv/dy = -x, the search starts at the
-    expansion's x0 = -(v_y + v_yy dy + v_ye e), takes its first step with
-    the base slope u_xx and then secant steps.  The marginal falls strictly
-    in the wealth, so each solve bounds the root from one side, and a step
-    that leaves those bounds bisects them instead.  Each solve starts Newton
-    from the expansion's first-order prediction at its own wealth."""
+def _dual_search(ex: ExpansionReport, dy: float, e: float):
+    """The search for v(y + dy, e) from exact re-solves, as a generator: it
+    yields each wealth whose solve it needs, is sent that solve's (value,
+    marginal) and returns u(x) - x·(y + dy) at the wealth x whose marginal
+    is y + dy.  Since dv/dy = -x, the search starts at the expansion's
+    x0 = -(v_y + v_yy dy + v_ye e), takes its first step with the base
+    slope u_xx and then secant steps.  The marginal falls strictly in the
+    wealth, so each solve bounds the root from one side, and a step that
+    leaves those bounds bisects them instead."""
     opt = ex.optimum
-    m, u = opt.primal.model, opt.primal.utility
     yt = opt.y + dy
     x = -(ex.gradient_v[0] + ex.hessian_v[0, 0] * dy + ex.hessian_v[0, 1] * e)
     if x <= 0.0:
@@ -266,9 +273,9 @@ def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
     solved = {}                       # each wealth solved once, should the search return
     for _ in range(_DUAL_MAX_STEPS):
         if x not in solved:
-            solved[x] = solve_primal(m, u, x, e, start=ex.newton_start(x, e))
-        sol = solved[x]
-        g = sol.marginal - yt
+            solved[x] = yield x
+        value, marginal = solved[x]
+        g = marginal - yt
         if last is not None and last[0] != x:
             slope = (g - last[1]) / (x - last[0])
         last = (x, g)
@@ -282,8 +289,8 @@ def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
             # of it misses v by about |g·step|/2; below the solve's noise the
             # root's error no longer shows (Newton's stop, which leaves
             # marginals off by up to its tolerance, enters only squared too)
-            if abs(0.5 * g * step) <= 1e-16 * max(1.0, abs(sol.value)):
-                return sol.value - x * yt
+            if abs(0.5 * g * step) <= 1e-16 * max(1.0, abs(value)):
+                return value - x * yt
             if lo < x + step < hi:
                 x += step
                 continue
@@ -291,6 +298,42 @@ def _dual_value(ex: ExpansionReport, dy: float, e: float) -> float:
     raise NumericalError(
         f"dual root-find at (dy={dy!r}, eps={e!r}) stopped after {_DUAL_MAX_STEPS} "
         f"steps: last wealth {last[0]!r}, marginal residual {last[1]:.3e}")
+
+
+def _dual_values(ex: ExpansionReport, points) -> list:
+    """v(y + dy, e) at each point (dy, e) by `_dual_search`, or the error
+    that point's search met.  The searches run in lockstep: each round
+    solves the wealth every unfinished search asks for in one
+    `solve_values` batch, each from the expansion's first-order prediction
+    at its own wealth, so every search sees the solves it sees alone."""
+    primal = ex.optimum.primal
+    searches = [_dual_search(ex, dy, e) for dy, e in points]
+    out = [None] * len(searches)
+    asked = {}
+
+    def advance(k, solve):
+        try:
+            asked[k] = searches[k].send(solve)
+        except StopIteration as stop:
+            out[k] = stop.value
+        except NumericalError as err:
+            out[k] = err
+
+    for k in range(len(searches)):
+        advance(k, None)
+    while asked:
+        ks = list(asked)
+        xs = [asked.pop(k) for k in ks]
+        eps = [points[k][1] for k in ks]
+        starts = np.column_stack([ex.newton_start(x, e) for x, e in zip(xs, eps)])
+        batch = solve_values(primal.model, primal.utility, xs, eps, start=starts)
+        for k, value, marginal, err in zip(ks, batch.value.tolist(), batch.marginal.tolist(),
+                                           batch.errors):
+            if err is None:
+                advance(k, (value, marginal))
+            else:
+                out[k] = err
+    return out
 
 
 def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
@@ -307,8 +350,10 @@ def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
 
     # envelope: central differences of the value in the perturbation size
     h0 = min(1e-2, 0.25 * m.eps0)
-    errs = [abs((solve_primal(m, u, x, h).value - solve_primal(m, u, x, -h).value) / (2 * h)
-                - ex.gradient_u[1]) for h in (h0, h0 / 10.0, h0 / 100.0)]
+    hs = (h0, h0 / 10.0, h0 / 100.0)
+    ups = solve_values(m, u, [x] * 6, [s * h for h in hs for s in (1.0, -1.0)]).checked()
+    errs = [abs((up - down) / (2 * h) - ex.gradient_u[1])
+            for h, up, down in zip(hs, ups[::2].tolist(), ups[1::2].tolist())]
     ok = errs[2] <= 1e-7 and all(
         errs[i] / max(errs[i + 1], 1e-16) >= 50.0 or errs[i + 1] <= 1e-12
         for i in range(2))
@@ -316,6 +361,7 @@ def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
             "fd errors " + ",".join(_fmt(e) for e in errs))
 
     points = list(zip(c.dx_grid, c.eps_grid))
+    kit.exact_values(points)
     resid_u = []
     for dx, e in points:
         try:
@@ -333,12 +379,12 @@ def run_expansion_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
                  resid_u, c.expansion_decay, DECAY_FLOOR)
 
     resid_v = []
-    for dy, e in points:
-        try:
-            exact = _dual_value(ex, dy, e)
-        except AdmissibilityError:
+    for (dy, e), exact in zip(points, _dual_values(ex, points)):
+        if isinstance(exact, AdmissibilityError):
             resid_v.append(math.nan)
             continue
+        if isinstance(exact, Exception):
+            raise exact
         step = np.array([dy, e])
         quad = v0 + ex.gradient_v @ step + 0.5 * step @ ex.hessian_v @ step
         r = abs(exact - quad) / (dy * dy + e * e)
@@ -366,6 +412,7 @@ def run_strategy_campaign(c: Campaign, base: ExpansionReport = None) -> Report:
                            "grid_points": len(c.dx_grid)})
     kit = StrategyKit(base if base is not None else expansion_report(m, c.utility, x),
                       _solve_cache=c._exact)
+    kit.exact_values(zip(c.dx_grid, c.eps_grid))
 
     residuals, levels = [], []
     for dx, e in zip(c.dx_grid, c.eps_grid):

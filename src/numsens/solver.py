@@ -14,6 +14,15 @@ the payoff matrix `AttainableSpace.W` is a view built on access, read only
 by the risk-tolerance replication.  Every tree, complete or not, solves this
 way; the wealth x + W·alpha meets the budget by construction.
 
+Newton advances many problems on one plan at once, as the columns of the
+kernel's batch axis: each has its own wealth, perturbation and start, and
+keeps its own step lengths and stop, so each column's numbers are those of
+its solve alone.  `solve_primal` is the one-column case and builds the
+strategies; `solve_values` returns only the values and marginals of many
+points, as the campaigns' re-solves need, and checks the invariants the
+strategies would (positive wealth, wealth increments in the traded span)
+stacked over the points.
+
 The dual optimizer is built from the primal one: its terminal value is the
 marginal utility of the optimal wealth, and the product with the optimal
 wealth is a martingale by construction.  On a finite tree the first-order
@@ -39,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AdmissibilityError,
     ContractViolationError,
     InvariantViolationError,
     NoOptimizerError,
@@ -52,6 +62,7 @@ _ARB_TOL = 1e-11
 _ESSCHER_TOL = 1e-12      # gradient that ends the certificate's Newton
 _ESSCHER_MAX_ITER = 50
 _ROUNDOFF = 1e-14         # constraint residual of a certified pricing vector
+_BARRIER_STEPS = 30       # Newton steps towards the analytic center of a doubtful node
 _NEWTON_TOL = 1e-13       # relative first-order residual that ends Newton
 _NEWTON_MAX_ITER = 200
 
@@ -152,7 +163,10 @@ def _esscher_certified(D: np.ndarray) -> np.ndarray:
     stack; each node's weights are then projected exactly onto
     {D'q = 0, sum q = 1}.  A projected floor above `_ARB_TOL` with the
     constraints met to roundoff is a feasible point of the LP's floor
-    maximization, so the LP passes every node certified here."""
+    maximization, so the LP passes every node certified here.  A node the
+    Esscher weights leave in doubt gets a second candidate, the analytic
+    center of its pricing vectors (`_analytic_center`), checked the same
+    way."""
     n, k, d = D.shape
     scale = np.max(np.abs(D), axis=(1, 2))
     D = D / np.where(scale > 0.0, scale, 1.0)[:, None, None]   # as the LP scales
@@ -194,13 +208,54 @@ def _esscher_certified(D: np.ndarray) -> np.ndarray:
         idx = idx[ok]
         c[idx] += t[ok, None] * step[ok]
         f[idx], q[idx] = fn[ok], qn[ok]
-    # the exact projection onto {D'q = 0, sum q = 1}
+    certified = _certifies(D, q)
+    # weights that starve a move, as an arbitrage-free node whose Esscher
+    # minimizer nearly ignores one move has them, move to the analytic
+    # center of the node's pricing vectors, whose floor is the LP's order
+    doubt = np.flatnonzero(~certified)
+    if doubt.size:
+        centered = _analytic_center(D[doubt], 0.5 * (q[doubt] + 1.0 / k))
+        certified[doubt] = _certifies(D[doubt], centered)
+    return certified
+
+
+def _pricing_constraints(D):
+    """(A, rhs) of the constraints D'q = 0, sum q = 1 on an (n, k, d) stack."""
+    n, k, d = D.shape
     A = np.concatenate([D.transpose(0, 2, 1), np.ones((n, 1, k))], axis=1)
     rhs = np.zeros((d + 1, 1))
     rhs[d] = 1.0
+    return A, rhs
+
+
+def _certifies(D, q):
+    """True where the weights q, projected exactly onto
+    {D'q = 0, sum q = 1}, keep a floor above `_ARB_TOL` and meet the
+    constraints to roundoff: a feasible point of the LP's floor
+    maximization that the LP passes."""
+    A, rhs = _pricing_constraints(D)
     q = q - (np.linalg.pinv(A) @ (A @ q[:, :, None] - rhs))[:, :, 0]
     resid = np.max(np.abs(A @ q[:, :, None] - rhs), axis=(1, 2))
     return (q.min(axis=1) > _ARB_TOL) & (resid <= _ROUNDOFF)
+
+
+def _analytic_center(D, q):
+    """Newton steps on the log-barrier -sum log q over {D'q = 0, sum q = 1}
+    at each node of an (n, k, d) stack, from strictly positive weights q
+    that need not meet the constraints (an infeasible start).  Each step
+    keeps the weights strictly positive and, once it is a full one, meets
+    the constraints; where the node has an arbitrage the set has no interior
+    and the weights never certify."""
+    A, rhs = _pricing_constraints(D)
+    with np.errstate(all="ignore"):
+        for _ in range(_BARRIER_STEPS):
+            AQ = A * q[:, None, :]
+            # the KKT system of the step: Q^-2 dq + A'w = 1/q, A dq = rhs - Aq
+            w = np.linalg.pinv(AQ @ AQ.mT, hermitian=True) @ (2.0 * (A @ q[:, :, None]) - rhs)
+            dq = q - q * q * (A.mT @ w)[:, :, 0]
+            room = np.where(dq < 0.0, q / -dq, np.inf).min(axis=1)
+            q = q + np.minimum(1.0, 0.99 * room)[:, None] * dq
+    return q
 
 
 def attainable_space(m: MarketModel) -> AttainableSpace:
@@ -295,92 +350,119 @@ class Optimum:
         return self.primal.marginal
 
 
-def _foc_residual(space, leaf_grad, scale):
-    """W.T @ leaf_grad and its largest entry conditional on reaching the
-    entry's node, relative to `scale`: entries at low-probability nodes must
-    not hide one-step defects."""
-    if not space.dim:
-        return np.zeros(0), 0.0
-    plan = space.plan
-    grad = plan.gradient(leaf_grad)
-    reach = space.tree.path_prob[plan.col_node]
-    return grad, float(np.max(np.abs(grad) / reach)) / max(scale, 1e-300)
+def _rowdot(a, b) -> np.ndarray:
+    """Row i of a dotted with b (one vector, or row i of rows b): a stacked
+    product runs each row as the one-dimensional dot, so no row's result
+    depends on the other rows."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def _newton_terminal(space, tree, p, N, x, utility, start):
-    """(leaf wealth Z, coefficients alpha, Newton steps) of the optimum,
-    starting from Z = x + W·start when that wealth is strictly positive and
-    from alpha = 0 otherwise."""
-    Nl = N.values[tree.leaves]
-    alpha = np.zeros(space.dim)
-    Z = np.full(tree.n_leaves, float(x))
+def _foc_residual(plan, leaf_grad, scale):
+    """Per row, W.T @ leaf_grad and its largest entry conditional on
+    reaching the entry's node, relative to `scale`: entries at
+    low-probability nodes must not hide one-step defects."""
+    grad = plan.gradient(leaf_grad.T).T
+    reach = plan.tree.path_prob[plan.col_node]
+    return grad, np.max(np.abs(grad) / reach, axis=1, initial=0.0) / np.maximum(scale, 1e-300)
+
+
+def _newton_terminal(plan, Nl, x, utility, start):
+    """Newton for B problems on one plan at once, as rows: problem i has
+    initial wealth x[i] and leaf numeraire Nl[i], and starts from
+    Z = x[i] + W·start[i] when that wealth is strictly positive, from
+    alpha = 0 otherwise (and in every row when start is None).
+
+    Each row takes the steps, step lengths and stop it takes alone: the
+    kernel solves every row still running in one batched call, and a row
+    that has stopped leaves the batch.  Returns (leaf wealths Z,
+    coefficients alpha, Newton steps, errors); errors[i] is the
+    NumericalError that stopped row i, or None."""
+    B = len(x)
+    leaves, p = plan.tree.leaves, plan.tree.leaf_prob
+    alpha = np.zeros((B, plan.n_cols))
+    Z = np.repeat(x[:, None], len(leaves), axis=1)
     if start is not None:
-        Zs = space.plan.process(start, float(x))[tree.leaves]
-        if np.all(Zs > 0.0):
-            alpha, Z = np.array(start, dtype=float), Zs
+        Zs = plan.process(start.T, x).T.take(leaves, axis=1)
+        warm = np.all(Zs > 0.0, axis=1)
+        alpha[warm], Z[warm] = start[warm], Zs[warm]
 
-    def objective(Zv):
-        return float(p @ utility.u(Zv / Nl))
+    def objective(rows, Zr):
+        return _rowdot(utility.u(Zr / Nl[rows]), p)
 
-    f = objective(Z)
-    rel = math.inf
-    tail = steps = 0
+    f = objective(slice(None), Z)
+    rel = np.full(B, math.inf)
+    tail = np.zeros(B, dtype=np.int64)
+    steps = np.zeros(B, dtype=np.int64)
+    errors = [None] * B
+    running = np.ones(B, dtype=bool)
     for it in range(_NEWTON_MAX_ITER):
-        xi = Z / Nl
+        live = np.flatnonzero(running)
+        if not live.size:
+            break
+        xi = Z[live] / Nl[live]
         du = utility.du(xi)
-        leaf_grad = p * du / Nl
-        scale = float(p @ (du / Nl))
-        grad, rel = _foc_residual(space, leaf_grad, scale)
+        leaf_grad = p * du / Nl[live]
+        scale = _rowdot(du / Nl[live], p)
+        grad, rel[live] = _foc_residual(plan, leaf_grad, scale)
         # the residual in the wealth's own direction, |grad·alpha|/(x·y), is
         # |sum of the pricing weights - 1|, which `pricing_measure` bounds
-        if rel <= _NEWTON_TOL and abs(float(grad @ alpha)) <= _NEWTON_TOL * x * scale:
+        done = (rel[live] <= _NEWTON_TOL) & (
+            np.abs(_rowdot(grad, alpha[live])) <= _NEWTON_TOL * x[live] * scale)
+        running[live[done]] = False
+        live, grad, xi, leaf_grad = live[~done], grad[~done], xi[~done], leaf_grad[~done]
+        if not live.size:
             break
-        curv = p * (-utility.d2u(xi)) / Nl**2
+        curv = p * (-utility.d2u(xi)) / Nl[live]**2
         # the Newton system W'·diag(curv)·W step = grad is the weighted least
         # squares fit of the leaf payoffs to leaf_grad / curv
-        moves, step, _ = space.plan.solve(curv, leaf_grad / curv, 0.0)
-        steps += 1
-        Wd = moves[tree.leaves]
-        neg = Wd < 0.0
-        t = 1.0
-        if np.any(neg):
-            t = min(1.0, 0.995 * float(np.min(-Z[neg] / Wd[neg])))
-        slope = float(grad @ step)
-        if slope <= 4e-16 * max(1.0, abs(f)):
-            # the objective can no longer certify progress; finish with a few
-            # plain positivity-capped Newton steps (quadratic tail)
-            Zn = Z + t * Wd
-            if np.all(Zn > 0.0) and tail < 3:
-                alpha = alpha + t * step
-                Z = Zn
-                f = objective(Zn)
-                tail += 1
-                continue
-            break
-        improved = False
+        moves, step, _ = plan.solve(curv.T, (leaf_grad / curv).T, 0.0)
+        step = step.T
+        Wd = moves.T.take(leaves, axis=1)
+        steps[live] += 1
+        Zl = Z[live]
+        bound = np.divide(-Zl, Wd, out=np.full_like(Zl, math.inf), where=Wd < 0.0)
+        t = np.minimum(1.0, 0.995 * bound.min(axis=1))
+        slope = _rowdot(grad, step)
+        # a flat row's objective can no longer certify progress; it finishes
+        # with a few plain positivity-capped Newton steps (quadratic tail)
+        flat = slope <= 4e-16 * np.maximum(1.0, np.abs(f[live]))
+        Zn = Zl + t[:, None] * Wd
+        tail_step = flat & np.all(Zn > 0.0, axis=1) & (tail[live] < 3)
+        running[live[flat & ~tail_step]] = False
+        tail[live[tail_step]] += 1
+        accept = tail_step.copy()
+        fn = np.full(len(live), math.nan)
+        fn[tail_step] = objective(live[tail_step], Zn[tail_step])
+
+        # the others halve their step until the objective rises enough
+        search = ~flat
         for _ in range(80):
-            Zn = Z + t * Wd
-            if np.all(Zn > 0.0):
-                fn = objective(Zn)
-                if fn >= f + 1e-4 * t * slope:
-                    improved = True
-                    break
-                if t <= 1e-8 and fn >= f - 1e-15 * max(1.0, abs(f)):
-                    improved = True
-                    break
-            t *= 0.5
-        if not improved:
-            if rel <= 1e-9:
-                break  # at the optimum up to rounding
-            raise NumericalError(
-                f"line search failed at iteration {it} (residual {rel:.3e})"
-            )
-        alpha = alpha + t * step
-        Z, f = Zn, fn
+            rows = np.flatnonzero(search)
+            if not rows.size:
+                break
+            Zn[rows] = Zl[rows] + t[rows, None] * Wd[rows]
+            trial = rows[np.all(Zn[rows] > 0.0, axis=1)]
+            fn[trial] = objective(live[trial], Zn[trial])
+            f0 = f[live[trial]]
+            ok = (fn[trial] >= f0 + 1e-4 * t[trial] * slope[trial]) | (
+                (t[trial] <= 1e-8) & (fn[trial] >= f0 - 1e-15 * np.maximum(1.0, np.abs(f0))))
+            accept[trial[ok]] = True
+            search[trial[ok]] = False
+            t[search] *= 0.5
+        for i in np.flatnonzero(search).tolist():
+            row = live[i]
+            running[row] = False
+            if rel[row] > 1e-9:   # else at the optimum up to rounding
+                errors[row] = NumericalError(
+                    f"line search failed at iteration {it} (residual {rel[row]:.3e})")
+        rows = live[accept]
+        alpha[rows] = alpha[rows] + t[accept, None] * step[accept]
+        Z[rows], f[rows] = Zn[accept], fn[accept]
     else:
-        if rel > 1e-9:
-            raise NumericalError(f"Newton did not converge: relative residual {rel:.3e}")
-    return Z, alpha, steps
+        for row in np.flatnonzero(running & (rel > 1e-9)).tolist():
+            errors[row] = NumericalError(
+                f"Newton did not converge: relative residual {rel[row]:.3e}")
+    return Z, alpha, steps, errors
 
 
 def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
@@ -390,7 +472,8 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     across its solves (`MarketModel.space`).  Newton starts from the
     coefficients `start` on that space's plan when they give a strictly
     positive wealth, and from alpha = 0 otherwise; its stop does not depend
-    on the start."""
+    on the start.  This is the one-row case of the Newton `solve_values`
+    runs, plus the strategies."""
     if x <= 0.0:
         raise ContractViolationError("initial wealth must be positive")
     tree = m.tree
@@ -399,7 +482,12 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     p = tree.leaf_prob
     Nl = N.values[tree.leaves]
 
-    Z_leaf, alpha, steps = _newton_terminal(space, tree, p, N, x, utility, start)
+    Z, alpha, steps, errors = _newton_terminal(
+        space.plan, Nl[None], np.array([float(x)]), utility,
+        None if start is None else np.asarray(start, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    Z_leaf, alpha = Z[0], alpha[0]
     Z_nodes = space.plan.process(alpha, float(x))
 
     if np.any(Z_nodes <= 0.0):
@@ -409,7 +497,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     du = utility.du(xi)
     value = float(p @ utility.u(xi))
     y = float(p @ (du / Nl))
-    _, foc = _foc_residual(space, p * du / Nl, y)
+    _, foc = _foc_residual(space.plan, (p * du / Nl)[None], np.array([y]))
 
     zwealth = AdaptedProcess(tree, Z_nodes)
     wealth = AdaptedProcess(tree, Z_nodes / N.values)
@@ -417,42 +505,137 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     if eps == 0.0:
         strat = strat_base
     else:
-        prices = AdaptedProcess(tree, m.asset_prices().values / N.values[:, None])
-        strat = _proportions_from_wealth(tree, wealth, _returns_of_prices(tree, prices))
+        prices = m.asset_prices().values / N.values[:, None]
+        strat = _proportions_from_wealth(
+            tree, wealth, AdaptedProcess(tree, _returns_of_prices(tree, prices)))
     # terminal wealth spread drives the conditioning of every identity built
     # on this solve; extreme ratios cap attainable double-precision accuracy
-    diag = {"newton_dim": space.dim, "newton_iters": steps,
+    diag = {"newton_dim": space.dim, "newton_iters": int(steps[0]),
             "wealth_ratio": float(np.max(xi) / np.min(xi)),
             "redundant_nodes": list(space.redundant_nodes)}
     return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
                           value=value, marginal=y, wealth=wealth, zwealth=zwealth,
                           strategy=strat, strategy_base=strat_base,
-                          foc_residual=foc, coeffs=alpha, diagnostics=diag)
+                          foc_residual=float(foc[0]), coeffs=alpha, diagnostics=diag)
 
 
-def _returns_of_prices(tree, prices: AdaptedProcess) -> AdaptedProcess:
-    """Cumulative simple returns of each price component (starting at 0)."""
-    S = prices.values
+@dataclass(frozen=True)
+class PointValues:
+    """u(x_i, eps_i), u_x(x_i, eps_i) and Newton's step count at each point
+    of a `solve_values` call.  A point whose solve failed holds NaN, and
+    errors[i] is the error its `solve_primal` raises (None otherwise)."""
+
+    value: np.ndarray
+    marginal: np.ndarray
+    newton_iters: np.ndarray
+    errors: tuple
+
+    def checked(self) -> np.ndarray:
+        """The values; raises the error of the first point that failed."""
+        for err in self.errors:
+            if err is not None:
+                raise err
+        return self.value
+
+
+def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointValues:
+    """The values and marginals of `solve_primal` at the points
+    (x[i], eps[i]), from one Newton pass over all of them, without the
+    strategies.  Column i of the (n_cols, B) coefficients `start` starts
+    point i as `solve_primal`'s start does.
+
+    Each point keeps the invariants `solve_primal` enforces: strictly
+    positive node wealth, and wealth increments inside the traded span (to
+    1e-8) in the base unit and, at eps != 0, in the perturbed unit.  The
+    span fits run stacked over the points and build no proportions.  A
+    point's values equal its `solve_primal` values bit for bit."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    eps = np.asarray(eps, dtype=float).reshape(-1)
+    if np.any(x <= 0.0):
+        raise ContractViolationError("initial wealth must be positive")
+    tree, plan = m.tree, m.space.plan
+    leaves, p, par = tree.leaves, tree.leaf_prob, tree.parent[1:]
+    B = len(x)
+    errors = [None] * B
+    N = np.ones((B, tree.n_nodes))
+    for i, e in enumerate(eps.tolist()):
+        try:
+            N[i] = numeraire(m, e).values
+        except AdmissibilityError as err:
+            errors[i] = err
+    rows = np.flatnonzero([err is None for err in errors])
+    value, marginal = np.full(B, math.nan), np.full(B, math.nan)
+    iters = np.zeros(B, dtype=np.int64)
+    Nl = N[rows].take(leaves, axis=1)
+    Z, alpha, iters[rows], newton_errors = _newton_terminal(
+        plan, Nl, x[rows], utility,
+        None if start is None else np.asarray(start, dtype=float).T[rows])
+    for i, err in zip(rows.tolist(), newton_errors):
+        errors[i] = err
+    ok = np.array([err is None for err in newton_errors], dtype=bool)
+    rows, Z, Nl, N = rows[ok], Z[ok], Nl[ok], N[rows[ok]]
+    Z_nodes = plan.process(alpha[ok].T, x[rows]).T
+
+    # the invariants, in the order solve_primal meets them
+    failed = np.zeros(len(rows), dtype=bool)
+
+    def fail(bad, message):
+        for i in np.flatnonzero(bad & ~failed).tolist():
+            errors[rows[i]] = InvariantViolationError(message(i))
+        failed[bad] = True
+
+    fail(np.any(Z_nodes <= 0.0, axis=1), lambda i: "optimal wealth failed strict positivity")
+    _, resid = _fit_proportions(tree, Z_nodes, m.returns.increments())
+    fail(np.any(resid > 1e-8, axis=1), lambda i: _off_span_message(resid[i]))
+    moved = np.flatnonzero(eps[rows] != 0.0)
+    if moved.size:
+        S = m.asset_prices().values[:, None, :] / N[moved].T[:, :, None]
+        R = _returns_of_prices(tree, S)
+        dR = np.zeros_like(R)
+        dR[1:] = R[1:] - R[par]
+        _, resid = _fit_proportions(tree, Z_nodes[moved] / N[moved], dR.swapaxes(0, 1))
+        bad = np.zeros(len(rows), dtype=bool)
+        bad[moved] = np.any(resid > 1e-8, axis=1)
+        where = {int(i): r for i, r in zip(moved, resid)}
+        fail(bad, lambda i: _off_span_message(where[i]))
+
+    good = ~failed
+    xi = Z[good] / Nl[good]
+    value[rows[good]] = _rowdot(utility.u(xi), p)
+    marginal[rows[good]] = _rowdot(utility.du(xi) / Nl[good], p)
+    return PointValues(value=value, marginal=marginal, newton_iters=iters,
+                       errors=tuple(errors))
+
+
+def _returns_of_prices(tree, S) -> np.ndarray:
+    """Cumulative simple returns of prices S (node axis first), starting at 0."""
     par = tree.parent[1:]
     inc = np.zeros_like(S)
     inc[1:] = (S[1:] - S[par]) / S[par]
-    return AdaptedProcess(tree, tree.cumulate(inc, 0.0))
+    return tree.cumulate(inc, 0.0)
+
+
+def _fit_proportions(tree, Wv, dRet):
+    """The minimum-norm fit of the one-step growth of node wealths Wv by the
+    return increments dRet (bank first), per node and per leading row of
+    Wv (..., n_nodes) and dRet (..., n_nodes, d + 1): (stock proportions,
+    residuals), as `fit_steps` returns them."""
+    growth = np.zeros_like(Wv)
+    growth[..., 1:] = Wv[..., 1:] / Wv[..., tree.parent[1:]] - 1.0 - dRet[..., 1:, 0]
+    return fit_steps(tree, dRet[..., 1:] - dRet[..., :1], growth)
+
+
+def _off_span_message(resid) -> str:
+    return f"wealth increments leave the traded span at node {np.flatnonzero(resid > 1e-8)[0]}"
 
 
 def _proportions_from_wealth(tree, wealth: AdaptedProcess, returns: AdaptedProcess
                              ) -> PredictableProcess:
     """Minimum-norm proportions pi (bank component balancing to sum 1) with
     d(wealth)/wealth_- = pi · d(returns) at every node."""
-    dRet = returns.increments()
-    Wv = wealth.values
-    growth = np.zeros(tree.n_nodes)
-    growth[1:] = Wv[1:] / Wv[tree.parent[1:]] - 1.0 - dRet[1:, 0]
-    sol, resid = fit_steps(tree, dRet[:, 1:] - dRet[:, :1], growth)
-    off_span = np.flatnonzero(resid > 1e-8)
-    if off_span.size:
-        raise InvariantViolationError(
-            f"wealth increments leave the traded span at node {off_span[0]}"
-        )
+    sol, resid = _fit_proportions(tree, wealth.values, returns.increments())
+    if np.any(resid > 1e-8):
+        raise InvariantViolationError(_off_span_message(resid))
     return PredictableProcess.from_steps(tree, np.column_stack([1.0 - sol.sum(axis=1), sol]))
 
 
@@ -460,22 +643,25 @@ def fit_steps(tree: EventTree, D: np.ndarray, target: np.ndarray):
     """Per node n, the minimum-norm least-squares x_n of D[c] @ x_n =
     target[c] over n's children c (row c of D and target belongs to the
     step into c), and its largest residual relative to max(1, largest
-    |target[c]|), which each caller judges against its own tolerance."""
-    sol = np.zeros((tree.n_nodes, D.shape[1]))
-    resid = np.zeros(tree.n_nodes)
+    |target[c]|), which each caller judges against its own tolerance.
+    Leading axes of D (..., n_nodes, d) and target (..., n_nodes) hold
+    independent fits, each computed as it is alone."""
+    batch = np.broadcast_shapes(D.shape[:-2], target.shape[:-1])
+    sol = np.zeros(batch + (tree.n_nodes, D.shape[-1]))
+    resid = np.zeros(batch + (tree.n_nodes,))
     for nodes, ch in tree.branch_groups.values():
-        A, b = D[ch], target[ch]
-        if A.shape[2] == 1:
+        A, b = np.take(D, ch, axis=-2), np.take(target, ch, axis=-1)
+        if A.shape[-1] == 1:
             # one column: its pseudo-inverse is its transpose over its
             # square length, and a column of zeros fits nothing
-            a = A[:, :, 0]
-            length = (a * a).sum(axis=1)
-            x = ((a * b).sum(axis=1) / np.where(length > 0.0, length, 1.0))[:, None]
+            a = A[..., 0]
+            length = (a * a).sum(axis=-1)
+            x = ((a * b).sum(axis=-1) / np.where(length > 0.0, length, 1.0))[..., None]
         else:
-            x = (np.linalg.pinv(A) @ b[:, :, None])[:, :, 0]
-        sol[nodes] = x
-        miss = np.max(np.abs((A @ x[:, :, None])[:, :, 0] - b), axis=1)
-        resid[nodes] = miss / np.maximum(1.0, np.max(np.abs(b), axis=1))
+            x = (np.linalg.pinv(A) @ b[..., None])[..., 0]
+        sol[..., nodes, :] = x
+        miss = np.max(np.abs((A @ x[..., None])[..., 0] - b), axis=-1)
+        resid[..., nodes] = miss / np.maximum(1.0, np.max(np.abs(b), axis=-1))
     return sol, resid
 
 

@@ -29,7 +29,7 @@ from .errors import AdmissibilityError, ContractViolationError, RepresentationEr
 from .market import MarketModel
 from .preferences import Utility
 from .sensitivity import ExpansionReport
-from .solver import Optimum, fit_steps, solve_primal
+from .solver import Optimum, fit_steps, solve_values
 from .tree import AdaptedProcess, PredictableProcess, stochastic_exponential, stochastic_integral
 
 _REPR_TOL = 1e-10
@@ -221,7 +221,8 @@ class StrategyKit:
 
     expansion: ExpansionReport
     _level_cache: dict = field(default_factory=dict, repr=False)
-    # exact values by (dx, eps); a campaign passes its own
+    # exact values (or the errors of their solves) by (dx, eps); a campaign
+    # passes its own
     _solve_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -317,14 +318,28 @@ class StrategyKit:
 
     # -- value-matching residual and level selection -------------------------
 
+    def exact_values(self, points) -> None:
+        """Solve u(x + dx, eps) at each point (dx, eps) not yet in the cache,
+        in one `solve_values` batch started from the expansion's first-order
+        prediction.  A point whose solve fails keeps its error, which
+        `exact_value` raises."""
+        todo = [pt for pt in dict.fromkeys(points) if pt not in self._solve_cache]
+        if not todo:
+            return
+        xs = [self.x + dx for dx, _ in todo]
+        eps = [e for _, e in todo]
+        starts = np.column_stack([self.expansion.newton_start(xx, e) for xx, e in zip(xs, eps)])
+        batch = solve_values(self.model, self.utility, xs, eps, start=starts)
+        for pt, value, err in zip(todo, batch.value.tolist(), batch.errors):
+            self._solve_cache[pt] = value if err is None else err
+
     def exact_value(self, dx: float, eps: float) -> float:
         """u(x + dx, eps), re-solved from the expansion's first-order start."""
-        if (dx, eps) not in self._solve_cache:
-            xx = self.x + dx
-            self._solve_cache[dx, eps] = solve_primal(
-                self.model, self.utility, xx, eps,
-                start=self.expansion.newton_start(xx, eps)).value
-        return self._solve_cache[dx, eps]
+        self.exact_values([(dx, eps)])
+        value = self._solve_cache[dx, eps]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     def quadratic_prediction(self, dx: float, eps: float) -> float:
         rep = self.expansion

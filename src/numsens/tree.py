@@ -17,6 +17,9 @@ span of one-step increments takes one form, the stacks of equal-rank blocks
 that `rank_stacks` cuts from a stacked SVD; a `BlockPlan` regroups them to
 run the least-squares elimination, expand coefficients into a process, pair
 leaf values with its columns and build the dense payoff matrix when asked.
+The first three take a trailing batch axis: leaf arrays (n_leaves, B) and
+coefficients (n_cols, B) pose B problems on one plan, computed together
+and each as it is alone.
 """
 
 from __future__ import annotations
@@ -426,25 +429,31 @@ class BlockPlan:
     def process(self, coeffs, start=0.0) -> np.ndarray:
         """Node values of start plus the blocks' increments weighted by
         coeffs, down from the root; its leaf values are
-        start + self.payoff_matrix() @ coeffs."""
-        inc = np.zeros(self.tree.n_nodes + 1)
+        start + self.payoff_matrix() @ coeffs.  Coefficients (n_cols, B)
+        give (n_nodes, B) values, a column per column, from a scalar start
+        or one start per column."""
+        c = _rows(coeffs, self.n_cols)
+        inc = np.zeros((len(c), self.tree.n_nodes + 1))
         for _nodes, children, cols, V in self.groups:
             if cols.shape[1]:
-                inc[children] = (V @ coeffs[cols][:, :, None])[:, :, 0]
-        return self.tree.cumulate(inc[:-1], start)
+                inc[:, children] = (V @ c.take(cols, axis=1)[..., None])[..., 0]
+        values = self.tree.cumulate(inc[:, :-1].T, start)
+        return values if np.ndim(coeffs) == 2 else values[:, 0]
 
     def gradient(self, leaf_values) -> np.ndarray:
         """W.T @ leaf_values for the span's payoff matrix W: each coefficient
-        pairs its block column with the subtree totals below the children."""
-        below = np.zeros(self.tree.n_nodes + 1)
-        below[self.tree.leaves] = leaf_values
-        grad = np.empty(self.n_cols)
+        pairs its block column with the subtree totals below the children.
+        Leaf values (n_leaves, B) give (n_cols, B)."""
+        rows = _rows(leaf_values, self.tree.n_leaves)
+        below = np.zeros((len(rows), self.tree.n_nodes + 1))
+        below[:, self.tree.leaves] = rows
+        grad = np.empty((len(rows), self.n_cols))
         for nodes, children, cols, V in reversed(self.groups):
-            at_children = below[children]
-            below[nodes] = at_children.sum(axis=1)
+            at_children = below.take(children, axis=1)
+            below[:, nodes] = at_children.sum(axis=-1)
             if cols.shape[1]:
-                grad[cols] = (at_children[:, None, :] @ V)[:, 0]
-        return grad
+                grad[:, cols] = (at_children[..., None, :] @ V)[..., 0, :]
+        return grad.T if np.ndim(leaf_values) == 2 else grad[0]
 
     def solve(self, weights, target, start=None):
         """Minimize sum(weights * (start + M_T - target)**2) over the
@@ -460,66 +469,94 @@ class BlockPlan:
         and the coefficients c = beta_m - a·beta_1 are then recovered from
         the root down.  Returns (node values, coefficients, rank_deficient);
         a node whose weighted block is rank deficient takes minimum-norm
-        coefficients, and a free start without weight is 0."""
+        coefficients, and a free start without weight is 0.
+
+        Leaf arrays (n_leaves, B) pose B problems on the plan, one per
+        column, solved together: the values are then (n_nodes, B), the
+        coefficients (n_cols, B) and rank_deficient one flag per column,
+        and a fixed start is a scalar or one value per column.  Each column
+        is computed exactly as the one-column problem is."""
         tree = self.tree
-        h = np.zeros(tree.n_nodes + 1)
-        m = np.zeros(tree.n_nodes + 1)
-        h[tree.leaves] = weights
-        m[tree.leaves] = target
+        w, t = _rows(weights, tree.n_leaves), _rows(target, tree.n_leaves)
+        B = max(len(w), len(t))
+        h = np.zeros((B, tree.n_nodes + 1))
+        m = np.zeros((B, tree.n_nodes + 1))
+        h[:, tree.leaves] = w
+        m[:, tree.leaves] = t
         fits = []
-        deficient = False
+        deficient = np.zeros(B, dtype=bool)
         for nodes, children, cols, V in reversed(self.groups):
-            hc = h[children][:, :, None]
-            Y = np.ones(children.shape + (2,))
-            Y[:, :, 1] = m[children]
+            hc = h.take(children, axis=1)[..., None]
+            Y = np.ones(hc.shape[:-1] + (2,))
+            Y[..., 1] = m.take(children, axis=1)
             if cols.shape[1]:
                 beta, bad = _block_fit(V, hc, Y)
-                deficient = deficient or bad
+                deficient |= bad
                 fit = V @ beta
                 Y -= fit
-                fits.append((beta[:, :, 0], beta[:, :, 1], Y[:, :, 0], fit[:, :, 1]))
+                fits.append((beta[..., 0], beta[..., 1], Y[..., 0], fit[..., 1]))
             G = (hc * Y).mT @ Y
-            h[nodes] = G[:, 0, 0]
+            h[:, nodes] = G[..., 0, 0]
             # a subtree without weight has G = 0 and takes m = 0
-            m[nodes] = G[:, 0, 1] / np.maximum(G[:, 0, 0], _TINY)
+            m[:, nodes] = G[..., 0, 1] / np.maximum(G[..., 0, 0], _TINY)
 
         if start is None:
             # h[0] is rounding noise when the weights fit every payoff
-            weightless = not h[0] > _EPS * np.sum(weights)
-            deficient = deficient or weightless
-            start = 0.0 if weightless else m[0]
-        values = np.empty(tree.n_nodes + 1)
-        values[0] = start
-        coeffs = np.empty(self.n_cols)
+            weightless = ~(h[:, 0] > _EPS * w.sum(axis=1))
+            deficient |= weightless
+            start = np.where(weightless, 0.0, m[:, 0])
+        values = np.empty((B, tree.n_nodes + 1))
+        values[:, 0] = start
+        coeffs = np.empty((B, self.n_cols))
         for nodes, children, cols, _V in self.groups:
-            at = values[nodes][:, None]
+            at = values[:, nodes][..., None]
             if cols.shape[1]:
                 beta_1, beta_m, resid_1, fit_m = fits.pop()
-                coeffs[cols] = beta_m - at * beta_1
+                coeffs[:, cols] = beta_m - at * beta_1
                 # a + V c for c = beta_m - a·beta_1
                 at = at * resid_1 + fit_m
-            values[children] = at
-        return values[:-1], coeffs, deficient
+            values[:, children] = at
+        if max(np.ndim(weights), np.ndim(target)) == 2:
+            return values[:, :-1].T, coeffs.T, deficient
+        return values[0, :-1], coeffs[0], bool(deficient[0])
+
+
+def _rows(a, n) -> np.ndarray:
+    """A scalar, an (n,) array or the columns of an (n, B) array as the
+    contiguous rows of a (1, n) or (B, n) array.  The kernel keeps the batch
+    axis first, so each column's products and sums run on contiguous
+    memory in the order a one-column call runs them."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 2:
+        return np.ascontiguousarray(a.T)
+    return np.ascontiguousarray(a.reshape(1, n)) if a.ndim else np.full((1, n), a)
 
 
 def _block_fit(V, hc, Y):
-    """Per node, the coefficients beta minimizing sum(hc * (Y - V @ beta)**2)
-    for both columns of Y, and whether some node's weighted block was rank
-    deficient (then the group takes minimum-norm coefficients)."""
+    """Per (column, node), the coefficients beta minimizing
+    sum(hc * (Y - V @ beta)**2) for both columns of Y, and per column
+    whether some node's weighted block was rank deficient (that column then
+    takes minimum-norm coefficients on the whole group).  hc and Y carry the
+    batch and node axes in front of the children."""
     if V.shape[2] == 1:
         HV = (hc * V).mT
         S = HV @ V
         weightless = S == 0.0
-        return HV @ Y / (S + weightless), bool(weightless.any())
+        return HV @ Y / (S + weightless), weightless.any(axis=(-3, -2, -1))
     # wider blocks: Householder QR with the heaviest rows first, which stays
     # accurate when the weights span many decades
     r = V.shape[2]
-    order = np.argsort(-hc, axis=1)
-    A = np.take_along_axis(np.sqrt(hc) * np.concatenate([V, Y], axis=2), order, axis=1)
+    order = np.argsort(-hc, axis=-2)
+    VY = np.concatenate([np.broadcast_to(V, Y.shape[:-1] + (r,)), Y], axis=-1)
+    A = np.take_along_axis(np.sqrt(hc) * VY, order, axis=-2)
     # R above the diagonal, reflectors below
-    R = np.triu(np.linalg.qr(A, mode="raw")[0].mT[:, :r])
+    R = np.triu(np.linalg.qr(A, mode="raw")[0].mT[..., :r, :])
     # rows without weight leave exact zeros on the diagonal of R
-    if not np.diagonal(R, axis1=1, axis2=2).all():
-        HV = (hc * V).mT
-        return np.linalg.pinv(HV @ V) @ (HV @ Y), True
-    return np.linalg.solve(R[:, :, :r], R[:, :, r:]), False
+    bad = ~np.diagonal(R, axis1=-2, axis2=-1).all(axis=(-2, -1))
+    beta = np.empty(Y.shape[:-2] + (r, 2))
+    good = ~bad
+    beta[good] = np.linalg.solve(R[good][..., :r], R[good][..., r:])
+    if bad.any():
+        HV = (hc[bad] * V).mT
+        beta[bad] = np.linalg.pinv(HV @ V) @ (HV @ Y[bad])
+    return beta, bad

@@ -3,6 +3,7 @@ import json
 import threading
 from functools import partial
 
+import numpy as np
 import pytest
 
 from numsens import harness, risktol, sensitivity, solver, strategy
@@ -195,16 +196,38 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _solve_points(calls):
-    """(x, eps) of each recorded solve_primal call."""
-    return [(float(a[2]), float(a[3] if len(a) > 3 else kw.get("eps", 0.0)))
-            for a, kw, _ in calls]
+def _count_points(monkeypatch):
+    """Record the (x, eps, thread id) of every point solved, wherever a
+    module looks the solvers up: one per `solve_primal` call and one per
+    column of a batched `solve_values` call."""
+    points = []
+    primal, values = solver.solve_primal, solver.solve_values
+
+    def one(m, utility, x, eps=0.0, start=None):
+        points.append((float(x), float(eps), threading.get_ident()))
+        return primal(m, utility, x, eps, start)
+
+    def batch(m, utility, x, eps, start=None):
+        points.extend((float(a), float(e), threading.get_ident()) for a, e in zip(x, eps))
+        return values(m, utility, x, eps, start)
+
+    for mod in _MODULES:
+        for name, original, counting in (("solve_primal", primal, one),
+                                         ("solve_values", values, batch)):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return points
+
+
+def _solve_points(points):
+    """(x, eps) of each recorded point."""
+    return [(x, eps) for x, eps, _ in points]
 
 
 def test_expansion_campaign_builds_one_space_and_solves_each_point_once(
         monkeypatch, twop, logu):
     spaces = _count_calls(monkeypatch, "attainable_space")
-    solves = _count_calls(monkeypatch, "solve_primal")
+    solves = _count_points(monkeypatch)
     run_expansion_campaign(dyadic_campaign(twop, logu, 1.0, k_range=range(3, 6)))
     assert len(spaces) == 1
     points = _solve_points(solves)
@@ -213,7 +236,7 @@ def test_expansion_campaign_builds_one_space_and_solves_each_point_once(
 
 def test_verify_all_solves_the_base_pair_and_expansion_once(monkeypatch, t1, mix):
     spaces = _count_calls(monkeypatch, "attainable_space")
-    solves = _count_calls(monkeypatch, "solve_primal")
+    solves = _count_points(monkeypatch)
     expansions = _count_calls(monkeypatch, "expansion_report")
     verify_all(t1, mix, 1.0, k_range=range(3, 6))
     assert len(spaces) == 1
@@ -223,7 +246,7 @@ def test_verify_all_solves_the_base_pair_and_expansion_once(monkeypatch, t1, mix
 
 def test_verify_all_solves_each_point_once_on_the_calling_thread(monkeypatch, twop, halfpow):
     # the expansion and strategy campaigns share their grid points' solves
-    solves = _count_calls(monkeypatch, "solve_primal")
+    solves = _count_points(monkeypatch)
     verify_all(twop, halfpow, 1.0, k_range=range(3, 6))
     points = _solve_points(solves)
     assert len(points) == len(set(points))
@@ -252,12 +275,12 @@ def test_seeded_dual_resolve_matches_the_wide_bracket(monkeypatch, request, mark
     u = request.getfixturevalue(utility)
     ex = sensitivity.expansion_report(m, u, 1.0)
     camp = dyadic_campaign(m, u, 1.0, k_range=range(3, 9))
-    solves = _count_calls(monkeypatch, "solve_primal")
+    solves = _count_points(monkeypatch)
     for dy, e in zip(camp.dx_grid, camp.eps_grid):
         yt = ex.y + dy
         want, oracle_solves, root = naive_dual_value(m, u, 1.0, yt, e)
         solves.clear()
-        got = harness._dual_value(ex, dy, e)
+        got, = harness._dual_values(ex, [(dy, e)])
         # u(x) - x·yt is stationary at the root, and both root-finds stop
         # within about 1e-15 of it, so the values differ by the rounding of
         # u - x·yt alone: a few ulps of its larger term
@@ -268,15 +291,41 @@ def test_seeded_dual_resolve_matches_the_wide_bracket(monkeypatch, request, mark
         assert len(solves) <= min(oracle_solves, 5)
 
 
+@pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir", "two2"])
+@pytest.mark.parametrize("utility", ["logu", "halfpow", "mix"])
+def test_lockstep_dual_searches_take_their_serial_steps(monkeypatch, request, market, utility):
+    # solving every grid point's next wealth in one batch leaves each
+    # search's sequence of wealths, and its value, as the search alone has them
+    m = MORE_MARKETS[market]() if market in MORE_MARKETS else request.getfixturevalue(market)
+    ex = sensitivity.expansion_report(m, request.getfixturevalue(utility), 1.0)
+    camp = dyadic_campaign(m, ex.optimum.primal.utility, 1.0, k_range=range(3, 9))
+    points = list(zip(camp.dx_grid, camp.eps_grid))
+    solves = _count_points(monkeypatch)
+    together = harness._dual_values(ex, points)
+    walks = {e: [x for x, eps in _solve_points(solves) if eps == e] for _, e in points}
+    for (dy, e), value in zip(points, together):
+        solves.clear()
+        assert harness._dual_values(ex, [(dy, e)]) == [value]
+        assert [x for x, _ in _solve_points(solves)] == walks[e]
+
+
 def test_dual_root_find_names_where_it_stopped(monkeypatch, t1, logu):
     ex = sensitivity.expansion_report(t1, logu, 1.0)
     base = ex.optimum.primal
-    # a marginal that never reaches the target drives the search to its cap
-    stuck = dataclasses.replace(base, marginal=base.marginal + 1.0)
-    monkeypatch.setattr(harness, "solve_primal", lambda *args, **kwargs: stuck)
+
+    def stuck(m, utility, x, eps, start=None):
+        # a marginal that never reaches the target drives the search to its cap
+        n = len(x)
+        return solver.PointValues(value=np.full(n, base.value),
+                                  marginal=np.full(n, base.marginal + 1.0),
+                                  newton_iters=np.zeros(n, dtype=int), errors=(None,) * n)
+
+    camp = Campaign(model=t1, utility=logu, x=1.0, dx_grid=(0.125, 0.0625),
+                    eps_grid=(0.0625, 0.03125))
+    monkeypatch.setattr(harness, "solve_values", stuck)
     with pytest.raises(NumericalError, match=r"dy=0\.125, eps=0\.0625.*"
                        r"last wealth .*marginal residual"):
-        harness._dual_value(ex, 0.125, 0.0625)
+        run_expansion_campaign(camp, ex)
 
 
 def test_one_model_builds_its_space_once_across_reports(monkeypatch, twop, halfpow):

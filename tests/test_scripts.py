@@ -7,6 +7,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 SURVEY = Path(__file__).resolve().parent.parent / "scripts" / "survey_verify_all.py"
 
 
@@ -62,3 +64,53 @@ def test_bench_pairs_summary_on_synthetic_runs():
     assert rate["change_wins"] == 5
     assert rate["change"][1] == 109.0 and not rate["gap_exceeds_parent_iqr"]
     assert "10/10" in bp.format_rows([rss])
+
+
+def test_bench_pairs_expands_all_in_declared_order():
+    bp = _bench_pairs()
+    benchmark = {"workloads": [{"name": "b"}, {"name": "a"}, {"name": "c"}]}
+    assert bp.workload_names(["all"], benchmark) == ["b", "a", "c"]
+    assert bp.workload_names(["c", "all"], benchmark) == ["c", "b", "a"]
+    with pytest.raises(SystemExit, match="unknown workload 'd'"):
+        bp.workload_names(["a", "d"], benchmark)
+
+
+def test_bench_pairs_records_each_workload_in_one_command(tmp_path, monkeypatch, capsys):
+    import datetime
+    import json
+
+    bp = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "workloads": [{"name": "fast"}, {"name": "slow"}],
+        "end_to_end": [{"name": "task_s.p50", "better": "lower"}]}))
+    ran = []
+
+    def run(checkout, workload, seed, seconds):
+        # synthetic runs: the change halves the fast workload's task time
+        # and leaves the slow one's as it is
+        ran.append((checkout.name, workload))
+        base = {"fast": 1.0, "slow": 3.0}[workload]
+        faster = checkout.name == "change" and workload == "fast"
+        return {"correct": True, "metrics": {"task_s.p50": base / 2 if faster else base}}
+
+    monkeypatch.setattr(bp, "ROOT", tmp_path)
+    monkeypatch.setattr(bp, "_export", lambda rev, into: into)
+    monkeypatch.setattr(bp, "_revision", lambda rev: "abc1234")
+    monkeypatch.setattr(bp, "_run", run)
+    assert bp.main(["--parent", "HEAD~1", "--change", "HEAD", "--workload", "all",
+                    "--set", "s", "--pairs", "3"]) == 0
+    # each workload's pairs run in turn, alternating which side goes first
+    assert [w for _, w in ran] == ["fast"] * 6 + ["slow"] * 6
+    assert [side for side, _ in ran[:6]] == ["parent", "change", "change", "parent",
+                                            "parent", "change"]
+    day = f"{datetime.date.today():%Y%m%d}"
+    for workload, wins in (("fast", 3), ("slow", 0)):
+        record = json.loads((tmp_path / f"BENCH_{day}_{workload}.json").read_text())
+        assert record["workload"] == workload and len(record["runs"]) == 6
+        row, = record["sets"]["s"]["summary"]
+        assert row["metric"] == "task_s.p50" and row["change_wins"] == wins
+    assert "wrote BENCH_" in capsys.readouterr().out
+    # a set already recorded for any workload stops the command before it runs
+    with pytest.raises(SystemExit, match="already in"):
+        bp.main(["--parent", "HEAD~1", "--workload", "slow", "--set", "s"])

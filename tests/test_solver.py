@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsens import solver
-from numsens.errors import InvariantViolationError, NoOptimizerError
+from numsens.errors import AdmissibilityError, InvariantViolationError, NoOptimizerError
 from numsens.instances import two_asset_market
 from numsens.market import MarketModel, numeraire
 from numsens.preferences import log_utility, mixture_utility, power_utility
@@ -18,6 +18,7 @@ from numsens.solver import (
     solve_dual,
     solve_pair,
     solve_primal,
+    solve_values,
     verify_deflator,
 )
 from numsens.tree import AdaptedProcess, EventTree, PredictableProcess
@@ -178,6 +179,21 @@ def test_esscher_certificate_only_clears_nodes_the_lp_passes(d):
     assert np.all(lp_arbitrage[labels == "floor below"])
 
 
+def test_nodes_that_starve_a_move_certify():
+    # random normal d = 2 nodes, drawn in turn with 4 and 6 moves: two
+    # arbitrage-free 6-move nodes had Esscher weights of about 1e-16 on one
+    # move although the LP's best floor is about 5e-3, and went to the LP
+    rng = np.random.default_rng(1)
+    drawn = [(rng.normal(size=(4, 2)), rng.normal(size=(6, 2))) for _ in range(300)]
+    for k, nodes in ((4, [a for a, _ in drawn]), (6, [b for _, b in drawn])):
+        certified = solver._esscher_certified(np.stack(nodes))
+        lp_arbitrage = np.array([solver._one_step_arbitrage(D) for D in nodes])
+        # the LP still decides every arbitrage, and passes every certified node
+        assert np.array_equal(certified, ~lp_arbitrage), k
+        if k == 6:
+            assert certified[[222, 235]].all()
+
+
 def test_deep_two_asset_arbitrage_names_its_first_node(logu):
     m = two_asset_market(depth=3)
     dR = m.returns.increments()
@@ -299,6 +315,71 @@ def test_wealth_off_the_traded_span_fails_the_solve(monkeypatch, twop, logu):
     with pytest.raises(InvariantViolationError,
                        match=f"traded span at node {twop.tree.parent[leaf]}$"):
         solve_primal(twop, logu, 1.0, 0.1)
+
+
+def _points(m):
+    """Points (x, eps) spread over the market's admissible perturbations."""
+    e = min(m.eps0, 1.0)
+    return [(1.1, 0.05 * e), (0.8, 0.4 * e), (1.0, -0.3 * e), (1.3, 0.0), (1.0, 0.4 * e)]
+
+
+@pytest.mark.parametrize("market", ["t1", "asym", "twop", "binom", "bank_dir", "two2", "tri"])
+@pytest.mark.parametrize("utility", ["logu", "halfpow", "mix"])
+def test_batched_values_are_the_serial_solves(request, market, utility):
+    m = {"two2": lambda: two_asset_market(depth=2),
+         "tri": lambda: make_random_tree(4, depth=3)}.get(market, lambda: None)() \
+        or request.getfixturevalue(market)
+    u = request.getfixturevalue(utility)
+    xs, eps = map(list, zip(*_points(m)))
+    ex = expansion_report(m, u, 1.0)
+    starts = np.column_stack([ex.newton_start(x, e) for x, e in zip(xs, eps)])
+    for start in (None, starts):
+        batch = solve_values(m, u, xs, eps, start=start)
+        assert batch.errors == (None,) * len(xs)
+        for i, (x, e) in enumerate(zip(xs, eps)):
+            sol = solve_primal(m, u, x, e, start=None if start is None else start[:, i])
+            assert batch.value[i] == sol.value and batch.marginal[i] == sol.marginal
+            assert batch.newton_iters[i] == sol.diagnostics["newton_iters"]
+
+
+def test_a_failing_point_fails_alone(twop, logu):
+    xs, eps = map(list, zip(*_points(twop)))
+    eps[2] = twop.eps0
+    batch = solve_values(twop, logu, xs, eps)
+    assert isinstance(batch.errors[2], AdmissibilityError) and math.isnan(batch.value[2])
+    assert all(err is None for i, err in enumerate(batch.errors) if i != 2)
+    good = solve_values(twop, logu, xs[:2], eps[:2])
+    assert np.array_equal(batch.value[:2], good.value)
+    with pytest.raises(AdmissibilityError, match="eps0"):
+        batch.checked()
+
+
+@pytest.mark.parametrize("unit", ["base", "perturbed"])
+def test_batched_points_keep_both_span_checks(monkeypatch, twop, logu, unit):
+    # wealth bumped off the traded span at one leaf, in one unit: every
+    # point that checks that unit fails at the node solve_primal names
+    leaf = int(twop.tree.leaves[0])
+    base_inc = twop.returns.increments()
+    fit = solver._fit_proportions
+
+    def bumped(tree, Wv, dRet):
+        if (dRet is base_inc) == (unit == "base"):
+            Wv = Wv.copy()
+            Wv[..., leaf] *= 1.01
+        return fit(tree, Wv, dRet)
+
+    monkeypatch.setattr(solver, "_fit_proportions", bumped)
+    xs, eps = map(list, zip(*_points(twop)))
+    batch = solve_values(twop, logu, xs, eps)
+    for i, (x, e) in enumerate(zip(xs, eps)):
+        if unit == "perturbed" and e == 0.0:
+            assert batch.errors[i] is None
+            continue
+        with pytest.raises(InvariantViolationError) as serial:
+            solve_primal(twop, logu, x, e)
+        assert isinstance(batch.errors[i], InvariantViolationError)
+        assert str(batch.errors[i]) == str(serial.value)
+        assert str(serial.value).endswith(f"traded span at node {twop.tree.parent[leaf]}")
 
 
 @settings(max_examples=15, deadline=None)

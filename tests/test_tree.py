@@ -447,3 +447,67 @@ def test_elimination_matches_dense_oracle(seed, kind, spread, free_start):
     W = naive_payoff_matrix(tree, blocks, plan.n_cols)
     assert np.max(np.abs(plan.gradient(g) - W.T @ g), initial=0.0) \
         <= 1e-12 * max(1.0, np.max(np.abs(W.T @ g), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: B problems on one plan, one per column
+# ---------------------------------------------------------------------------
+
+
+def four_branch_plan(rng, depth=2):
+    """A tree with four children at every node and random orthonormal
+    rank-2 blocks: every group takes the QR branch."""
+    parent, level = [-1], [0]
+    for _ in range(depth):
+        parent += [node for node in level for _ in range(4)]
+        level = list(range(len(parent) - 4 * len(level), len(parent)))
+    tree = EventTree(parent, [1.0] + [0.25] * (len(parent) - 1))
+    stacks = [(nodes, np.linalg.qr(rng.normal(size=(len(nodes), 4, 2)))[0])
+              for nodes, _ in tree.branch_groups.values()]
+    return tree, BlockPlan(tree, stacks)
+
+
+def _batch_case(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "four-branch":
+        return (*four_branch_plan(rng), rng)
+    m = make_random_tree(seed, depth=1 + seed % 4) if kind == "trinomial" \
+        else two_asset_market(depth=2)
+    return m.tree, attainable_space(m).plan, rng
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["trinomial", "two-asset", "four-branch"])
+def test_each_batch_column_is_the_one_column_call(kind, seed):
+    tree, plan, rng = _batch_case(kind, seed)
+    L, B = tree.n_leaves, 5
+    weights = rng.uniform(0.5, 2.0, (L, B))
+    # weights spanning 12 decades
+    weights[:, 1] = np.logspace(-12.0, 0.0, L)[rng.permutation(L)]
+    # no weight below one node's children: its weighted block is rank
+    # deficient (the pinv fallback on a wide block) in this column alone
+    node = int(tree.internal_nodes[-1])
+    weights[np.isin(tree.leaves, tree.children[node]), 2] = 0.0
+    # a column without weight: a free start is 0 there
+    weights[:, 3] = 0.0
+    target = rng.normal(size=(L, B))
+    for start in (None, 0.25, rng.normal(size=B)):
+        values, coeffs, deficient = plan.solve(weights, target, start)
+        assert values.shape == (tree.n_nodes, B) and coeffs.shape == (plan.n_cols, B)
+        assert deficient.tolist() == [False, False, True, True, False]
+        if start is None:
+            assert values[0, 3] == 0.0
+        for j in range(B):
+            one = plan.solve(weights[:, j], target[:, j],
+                             start if np.ndim(start) == 0 else start[j])
+            assert np.array_equal(values[:, j], one[0])
+            assert np.array_equal(coeffs[:, j], one[1])
+            assert deficient[j] == one[2] and isinstance(one[2], bool)
+    c = rng.normal(size=(plan.n_cols, B))
+    starts = rng.normal(size=B)
+    nodes, grad = plan.process(c, starts), plan.gradient(target)
+    assert nodes.shape == (tree.n_nodes, B) and grad.shape == (plan.n_cols, B)
+    for j in range(B):
+        assert np.array_equal(nodes[:, j], plan.process(c[:, j], starts[j]))
+        assert np.array_equal(grad[:, j], plan.gradient(target[:, j]))
+
