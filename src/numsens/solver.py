@@ -357,12 +357,12 @@ def _rowdot(a, b) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def _foc_residual(plan, leaf_grad, scale):
+def _foc_residual(plan, reach, leaf_grad, scale):
     """Per row, W.T @ leaf_grad and its largest entry conditional on
-    reaching the entry's node, relative to `scale`: entries at
-    low-probability nodes must not hide one-step defects."""
+    reaching the entry's node (`reach`, per plan column), relative to
+    `scale`: entries at low-probability nodes must not hide one-step
+    defects."""
     grad = plan.gradient(leaf_grad.T).T
-    reach = plan.tree.path_prob[plan.col_node]
     return grad, np.max(np.abs(grad) / reach, axis=1, initial=0.0) / np.maximum(scale, 1e-300)
 
 
@@ -377,92 +377,113 @@ def _newton_terminal(plan, Nl, x, utility, start):
     that has stopped leaves the batch.  Returns (leaf wealths Z,
     coefficients alpha, Newton steps, errors); errors[i] is the
     NumericalError that stopped row i, or None."""
-    B = len(x)
     leaves, p = plan.tree.leaves, plan.tree.leaf_prob
+    reach = plan.tree.path_prob[plan.col_node]
+    B = len(x)
     alpha = np.zeros((B, plan.n_cols))
     Z = np.repeat(x[:, None], len(leaves), axis=1)
     if start is not None:
         Zs = plan.process(start.T, x).T.take(leaves, axis=1)
         warm = np.all(Zs > 0.0, axis=1)
         alpha[warm], Z[warm] = start[warm], Zs[warm]
-
-    def objective(rows, Zr):
-        return _rowdot(utility.u(Zr / Nl[rows]), p)
-
-    f = objective(slice(None), Z)
-    rel = np.full(B, math.inf)
-    tail = np.zeros(B, dtype=np.int64)
-    steps = np.zeros(B, dtype=np.int64)
+    out_Z, out_alpha = Z.copy(), alpha.copy()
+    steps = np.full(B, _NEWTON_MAX_ITER)
     errors = [None] * B
-    running = np.ones(B, dtype=bool)
+
+    def objective(Zr, Nr):
+        return _rowdot(utility.u(Zr / Nr), p)
+
+    # the running rows: their index among the B, and their state
+    rows, tail = np.arange(B), np.zeros(B, dtype=np.int64)
+    f = objective(Z, Nl)
     for it in range(_NEWTON_MAX_ITER):
-        live = np.flatnonzero(running)
-        if not live.size:
-            break
-        xi = Z[live] / Nl[live]
+        xi = Z / Nl
         du = utility.du(xi)
-        leaf_grad = p * du / Nl[live]
-        scale = _rowdot(du / Nl[live], p)
-        grad, rel[live] = _foc_residual(plan, leaf_grad, scale)
+        leaf_grad = p * du / Nl
+        scale = _rowdot(du / Nl, p)
+        grad, rel = _foc_residual(plan, reach, leaf_grad, scale)
         # the residual in the wealth's own direction, |grad·alpha|/(x·y), is
         # |sum of the pricing weights - 1|, which `pricing_measure` bounds
-        done = (rel[live] <= _NEWTON_TOL) & (
-            np.abs(_rowdot(grad, alpha[live])) <= _NEWTON_TOL * x[live] * scale)
-        running[live[done]] = False
-        live, grad, xi, leaf_grad = live[~done], grad[~done], xi[~done], leaf_grad[~done]
-        if not live.size:
-            break
-        curv = p * (-utility.d2u(xi)) / Nl[live]**2
+        stop = rel <= _NEWTON_TOL
+        if stop.any():
+            stop &= np.abs(_rowdot(grad, alpha)) <= _NEWTON_TOL * x * scale
+        if stop.any():
+            out_Z[rows[stop]], out_alpha[rows[stop]], steps[rows[stop]] = Z[stop], alpha[stop], it
+            go = ~stop
+            rows, tail, Z, alpha, Nl, x, f, xi, leaf_grad, grad, rel = (
+                a[go] for a in (rows, tail, Z, alpha, Nl, x, f, xi, leaf_grad, grad, rel))
+            if not rows.size:
+                break
+        curv = p * (-utility.d2u(xi)) / Nl**2
         # the Newton system W'·diag(curv)·W step = grad is the weighted least
         # squares fit of the leaf payoffs to leaf_grad / curv
         moves, step, _ = plan.solve(curv.T, (leaf_grad / curv).T, 0.0)
         step = step.T
         Wd = moves.T.take(leaves, axis=1)
-        steps[live] += 1
-        Zl = Z[live]
-        bound = np.divide(-Zl, Wd, out=np.full_like(Zl, math.inf), where=Wd < 0.0)
+        bound = np.divide(-Z, Wd, out=np.full_like(Z, math.inf), where=Wd < 0.0)
         t = np.minimum(1.0, 0.995 * bound.min(axis=1))
-        slope = _rowdot(grad, step)
-        # a flat row's objective can no longer certify progress; it finishes
-        # with a few plain positivity-capped Newton steps (quadratic tail)
-        flat = slope <= 4e-16 * np.maximum(1.0, np.abs(f[live]))
-        Zn = Zl + t[:, None] * Wd
-        tail_step = flat & np.all(Zn > 0.0, axis=1) & (tail[live] < 3)
-        running[live[flat & ~tail_step]] = False
-        tail[live[tail_step]] += 1
-        accept = tail_step.copy()
-        fn = np.full(len(live), math.nan)
-        fn[tail_step] = objective(live[tail_step], Zn[tail_step])
-
+        slope = _rowdot(grad, step).tolist()
+        Zn = Z + t[:, None] * Wd
+        positive = np.all(Zn > 0.0, axis=1).tolist()
+        fn = np.full(len(rows), math.nan)
+        # each row's step is decided as the serial loop decides it, with the
+        # objectives of all rows that need one in a round evaluated together
+        fs, accept, search, stop = f.tolist(), [], [], []
+        for i, (fi, si) in enumerate(zip(fs, slope)):
+            if si > 4e-16 * max(1.0, abs(fi)):
+                search.append(i)
+            # the objective can no longer certify progress; the row finishes
+            # with a few plain positivity-capped Newton steps (quadratic tail)
+            elif positive[i] and tail[i] < 3:
+                accept.append(i)
+                tail[i] += 1
+            else:
+                stop.append(i)
+        if accept:
+            fn[accept] = objective(Zn[accept], Nl[accept])
         # the others halve their step until the objective rises enough
-        search = ~flat
         for _ in range(80):
-            rows = np.flatnonzero(search)
+            trial = [i for i in search if positive[i]]
+            if trial:
+                fn[trial] = (objective(Zn, Nl) if len(trial) == len(rows)
+                             else objective(Zn[trial], Nl[trial]))
+                ts, fns = t.tolist(), fn.tolist()
+                rose = {i for i in trial
+                        if fns[i] >= fs[i] + 1e-4 * ts[i] * slope[i]
+                        or (ts[i] <= 1e-8 and fns[i] >= fs[i] - 1e-15 * max(1.0, abs(fs[i])))}
+                accept += sorted(rose)
+                search = [i for i in search if i not in rose]
+            if not search:
+                break
+            t[search] *= 0.5
+            Zn[search] = Z[search] + t[search, None] * Wd[search]
+            for i, ok in zip(search, np.all(Zn[search] > 0.0, axis=1).tolist()):
+                positive[i] = ok
+        for i in search:
+            if rel[i] > 1e-9:   # else at the optimum up to rounding
+                errors[rows[i]] = NumericalError(
+                    f"line search failed at iteration {it} (residual {rel[i]:.3e})")
+        if len(accept) == len(rows):
+            alpha += t[:, None] * step
+            Z, f = Zn, fn
+        elif accept:
+            alpha[accept] += t[accept, None] * step[accept]
+            Z[accept], f[accept] = Zn[accept], fn[accept]
+        stop += search
+        if stop:
+            out_Z[rows[stop]], out_alpha[rows[stop]], steps[rows[stop]] = Z[stop], alpha[stop], it + 1
+            go = np.ones(len(rows), dtype=bool)
+            go[stop] = False
+            rows, tail, Z, alpha, Nl, x, f, rel = (
+                a[go] for a in (rows, tail, Z, alpha, Nl, x, f, rel))
             if not rows.size:
                 break
-            Zn[rows] = Zl[rows] + t[rows, None] * Wd[rows]
-            trial = rows[np.all(Zn[rows] > 0.0, axis=1)]
-            fn[trial] = objective(live[trial], Zn[trial])
-            f0 = f[live[trial]]
-            ok = (fn[trial] >= f0 + 1e-4 * t[trial] * slope[trial]) | (
-                (t[trial] <= 1e-8) & (fn[trial] >= f0 - 1e-15 * np.maximum(1.0, np.abs(f0))))
-            accept[trial[ok]] = True
-            search[trial[ok]] = False
-            t[search] *= 0.5
-        for i in np.flatnonzero(search).tolist():
-            row = live[i]
-            running[row] = False
-            if rel[row] > 1e-9:   # else at the optimum up to rounding
-                errors[row] = NumericalError(
-                    f"line search failed at iteration {it} (residual {rel[row]:.3e})")
-        rows = live[accept]
-        alpha[rows] = alpha[rows] + t[accept, None] * step[accept]
-        Z[rows], f[rows] = Zn[accept], fn[accept]
     else:
-        for row in np.flatnonzero(running & (rel > 1e-9)).tolist():
-            errors[row] = NumericalError(
-                f"Newton did not converge: relative residual {rel[row]:.3e}")
-    return Z, alpha, steps, errors
+        out_Z[rows], out_alpha[rows] = Z, alpha
+        for i in np.flatnonzero(rel > 1e-9).tolist():
+            errors[rows[i]] = NumericalError(
+                f"Newton did not converge: relative residual {rel[i]:.3e}")
+    return out_Z, out_alpha, steps, errors
 
 
 def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
@@ -497,7 +518,8 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     du = utility.du(xi)
     value = float(p @ utility.u(xi))
     y = float(p @ (du / Nl))
-    _, foc = _foc_residual(space.plan, (p * du / Nl)[None], np.array([y]))
+    _, foc = _foc_residual(space.plan, tree.path_prob[space.plan.col_node],
+                           (p * du / Nl)[None], np.array([y]))
 
     zwealth = AdaptedProcess(tree, Z_nodes)
     wealth = AdaptedProcess(tree, Z_nodes / N.values)

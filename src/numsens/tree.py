@@ -432,28 +432,28 @@ class BlockPlan:
         start + self.payoff_matrix() @ coeffs.  Coefficients (n_cols, B)
         give (n_nodes, B) values, a column per column, from a scalar start
         or one start per column."""
-        c = _rows(coeffs, self.n_cols)
-        inc = np.zeros((len(c), self.tree.n_nodes + 1))
+        c = _rows(coeffs)
+        inc = np.zeros(c.shape[:-1] + (self.tree.n_nodes + 1,))
         for _nodes, children, cols, V in self.groups:
             if cols.shape[1]:
-                inc[:, children] = (V @ c.take(cols, axis=1)[..., None])[..., 0]
-        values = self.tree.cumulate(inc[:, :-1].T, start)
-        return values if np.ndim(coeffs) == 2 else values[:, 0]
+                inc.T[children.T] = (V @ c.take(cols, axis=-1)[..., None])[..., 0].T
+        values = self.tree.cumulate(inc[..., :-1].T, _per_row(start, c))
+        return _columns(values.T, np.ndim(coeffs) == 2)
 
     def gradient(self, leaf_values) -> np.ndarray:
         """W.T @ leaf_values for the span's payoff matrix W: each coefficient
         pairs its block column with the subtree totals below the children.
         Leaf values (n_leaves, B) give (n_cols, B)."""
-        rows = _rows(leaf_values, self.tree.n_leaves)
-        below = np.zeros((len(rows), self.tree.n_nodes + 1))
-        below[:, self.tree.leaves] = rows
-        grad = np.empty((len(rows), self.n_cols))
+        rows = _rows(leaf_values)
+        below = np.zeros(rows.shape[:-1] + (self.tree.n_nodes + 1,))
+        below.T[self.tree.leaves] = rows.T
+        grad = np.empty(rows.shape[:-1] + (self.n_cols,))
         for nodes, children, cols, V in reversed(self.groups):
-            at_children = below.take(children, axis=1)
-            below[:, nodes] = at_children.sum(axis=-1)
+            at_children = below.take(children, axis=-1)
+            below.T[nodes] = at_children.sum(axis=-1).T
             if cols.shape[1]:
-                grad[:, cols] = (at_children[..., None, :] @ V)[..., 0, :]
-        return grad.T if np.ndim(leaf_values) == 2 else grad[0]
+                grad.T[cols.T] = (at_children[..., None, :] @ V)[..., 0, :].T
+        return _columns(grad, np.ndim(leaf_values) == 2)
 
     def solve(self, weights, target, start=None):
         """Minimize sum(weights * (start + M_T - target)**2) over the
@@ -477,67 +477,83 @@ class BlockPlan:
         and a fixed start is a scalar or one value per column.  Each column
         is computed exactly as the one-column problem is."""
         tree = self.tree
-        w, t = _rows(weights, tree.n_leaves), _rows(target, tree.n_leaves)
-        B = max(len(w), len(t))
-        h = np.zeros((B, tree.n_nodes + 1))
-        m = np.zeros((B, tree.n_nodes + 1))
-        h[:, tree.leaves] = w
-        m[:, tree.leaves] = t
+        w, t = _rows(weights), _rows(target)
+        batch = w.shape[:-1] or t.shape[:-1]
+        h = np.zeros(batch + (tree.n_nodes + 1,))
+        m = np.zeros(batch + (tree.n_nodes + 1,))
+        # scatters go through the transposes, which put the node axis first
+        # and leave an unbatched array as it is
+        h.T[tree.leaves] = w.T
+        m.T[tree.leaves] = t.T
         fits = []
-        deficient = np.zeros(B, dtype=bool)
+        deficient = np.zeros(batch, dtype=bool)
         for nodes, children, cols, V in reversed(self.groups):
-            hc = h.take(children, axis=1)[..., None]
+            hc = h.take(children, axis=-1)[..., None]
             Y = np.ones(hc.shape[:-1] + (2,))
-            Y[..., 1] = m.take(children, axis=1)
+            Y[..., 1] = m.take(children, axis=-1)
             if cols.shape[1]:
                 beta, bad = _block_fit(V, hc, Y)
-                deficient |= bad
+                deficient = deficient | bad
                 fit = V @ beta
                 Y -= fit
                 fits.append((beta[..., 0], beta[..., 1], Y[..., 0], fit[..., 1]))
             G = (hc * Y).mT @ Y
-            h[:, nodes] = G[..., 0, 0]
+            h.T[nodes] = G[..., 0, 0].T
             # a subtree without weight has G = 0 and takes m = 0
-            m[:, nodes] = G[..., 0, 1] / np.maximum(G[..., 0, 0], _TINY)
+            m.T[nodes] = (G[..., 0, 1] / np.maximum(G[..., 0, 0], _TINY)).T
 
         if start is None:
             # h[0] is rounding noise when the weights fit every payoff
-            weightless = ~(h[:, 0] > _EPS * w.sum(axis=1))
-            deficient |= weightless
-            start = np.where(weightless, 0.0, m[:, 0])
-        values = np.empty((B, tree.n_nodes + 1))
-        values[:, 0] = start
-        coeffs = np.empty((B, self.n_cols))
+            weightless = ~(h[..., 0] > _EPS * w.sum(axis=-1))
+            deficient = deficient | weightless
+            start = np.where(weightless, 0.0, m[..., 0])
+        values = np.empty(batch + (tree.n_nodes + 1,))
+        values[..., 0] = _per_row(start, h)
+        coeffs = np.empty(batch + (self.n_cols,))
         for nodes, children, cols, _V in self.groups:
-            at = values[:, nodes][..., None]
+            at = values.take(nodes, axis=-1)[..., None]
             if cols.shape[1]:
                 beta_1, beta_m, resid_1, fit_m = fits.pop()
-                coeffs[:, cols] = beta_m - at * beta_1
+                coeffs.T[cols.T] = (beta_m - at * beta_1).T
                 # a + V c for c = beta_m - a·beta_1
                 at = at * resid_1 + fit_m
-            values[:, children] = at
+            values.T[children.T] = at.T
         if max(np.ndim(weights), np.ndim(target)) == 2:
-            return values[:, :-1].T, coeffs.T, deficient
-        return values[0, :-1], coeffs[0], bool(deficient[0])
+            return _columns(values[..., :-1], True), _columns(coeffs, True), deficient.reshape(-1)
+        return values[:-1], coeffs, bool(deficient)
 
 
-def _rows(a, n) -> np.ndarray:
-    """A scalar, an (n,) array or the columns of an (n, B) array as the
-    contiguous rows of a (1, n) or (B, n) array.  The kernel keeps the batch
-    axis first, so each column's products and sums run on contiguous
-    memory in the order a one-column call runs them."""
+def _rows(a) -> np.ndarray:
+    """The kernel's layout of a leaf or coefficient array: the columns of an
+    (n, B) array become the contiguous rows of a (B, n) array, a single
+    column becomes (n,), and an (n,) array or a scalar stays as it is.  With
+    the batch axis first, each column's products and sums run on contiguous
+    memory in the order the unbatched call runs them, and a one-column call
+    is the unbatched call."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 2:
-        return np.ascontiguousarray(a.T)
-    return np.ascontiguousarray(a.reshape(1, n)) if a.ndim else np.full((1, n), a)
+    if a.ndim < 2:
+        return a
+    return np.ascontiguousarray(a.T if a.shape[1] > 1 else a[:, 0])
+
+
+def _per_row(value, rows):
+    """A scalar, or one value per row of the kernel's (B, n) or (n,) rows,
+    shaped to broadcast against a node slice of them."""
+    value = np.asarray(value, dtype=float)
+    return value.reshape(rows.shape[:-1]) if value.ndim else value
+
+
+def _columns(a, batched):
+    """Kernel rows (B, n) back as (n, B) columns; an unbatched (n,) result
+    as (n, 1) for a batched call and as it is otherwise."""
+    return a.T if a.ndim == 2 else a[:, None] if batched else a
 
 
 def _block_fit(V, hc, Y):
-    """Per (column, node), the coefficients beta minimizing
-    sum(hc * (Y - V @ beta)**2) for both columns of Y, and per column
-    whether some node's weighted block was rank deficient (that column then
-    takes minimum-norm coefficients on the whole group).  hc and Y carry the
-    batch and node axes in front of the children."""
+    """Per node (and per row of a batch), the coefficients beta minimizing
+    sum(hc * (Y - V @ beta)**2) for both columns of Y, and per row whether
+    some node's weighted block was rank deficient (that row then takes
+    minimum-norm coefficients on the whole group)."""
     if V.shape[2] == 1:
         HV = (hc * V).mT
         S = HV @ V
@@ -547,16 +563,18 @@ def _block_fit(V, hc, Y):
     # accurate when the weights span many decades
     r = V.shape[2]
     order = np.argsort(-hc, axis=-2)
-    VY = np.concatenate([np.broadcast_to(V, Y.shape[:-1] + (r,)), Y], axis=-1)
+    VY = np.empty(Y.shape[:-1] + (r + 2,))
+    VY[..., :r], VY[..., r:] = V, Y
     A = np.take_along_axis(np.sqrt(hc) * VY, order, axis=-2)
     # R above the diagonal, reflectors below
     R = np.triu(np.linalg.qr(A, mode="raw")[0].mT[..., :r, :])
     # rows without weight leave exact zeros on the diagonal of R
     bad = ~np.diagonal(R, axis1=-2, axis2=-1).all(axis=(-2, -1))
+    if not bad.any():
+        return np.linalg.solve(R[..., :r], R[..., r:]), bad
     beta = np.empty(Y.shape[:-2] + (r, 2))
     good = ~bad
     beta[good] = np.linalg.solve(R[good][..., :r], R[good][..., r:])
-    if bad.any():
-        HV = (hc[bad] * V).mT
-        beta[bad] = np.linalg.pinv(HV @ V) @ (HV @ Y[bad])
+    HV = (hc[bad] * V).mT
+    beta[bad] = np.linalg.pinv(HV @ V) @ (HV @ Y[bad])
     return beta, bad
