@@ -350,13 +350,6 @@ class Optimum:
         return self.primal.marginal
 
 
-def _rowdot(a, b) -> np.ndarray:
-    """Row i of a dotted with b (one vector, or row i of rows b): a stacked
-    product runs each row as the one-dimensional dot, so no row's result
-    depends on the other rows."""
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
-
-
 def _foc_residual(plan, reach, leaf_grad, scale):
     """Per row, W.T @ leaf_grad and its largest entry conditional on
     reaching the entry's node (`reach`, per plan column), relative to
@@ -391,7 +384,7 @@ def _newton_terminal(plan, Nl, x, utility, start):
     errors = [None] * B
 
     def objective(Zr, Nr):
-        return _rowdot(utility.u(Zr / Nr), p)
+        return np.vecdot(utility.u(Zr / Nr), p)
 
     # the running rows: their index among the B, and their state
     rows, tail = np.arange(B), np.zeros(B, dtype=np.int64)
@@ -400,13 +393,13 @@ def _newton_terminal(plan, Nl, x, utility, start):
         xi = Z / Nl
         du = utility.du(xi)
         leaf_grad = p * du / Nl
-        scale = _rowdot(du / Nl, p)
+        scale = np.vecdot(du / Nl, p)
         grad, rel = _foc_residual(plan, reach, leaf_grad, scale)
         # the residual in the wealth's own direction, |grad·alpha|/(x·y), is
         # |sum of the pricing weights - 1|, which `pricing_measure` bounds
-        stop = rel <= _NEWTON_TOL
-        if stop.any():
-            stop &= np.abs(_rowdot(grad, alpha)) <= _NEWTON_TOL * x * scale
+        stop = np.zeros(len(rows), dtype=bool)
+        if min(rel.tolist()) <= _NEWTON_TOL:
+            stop = (rel <= _NEWTON_TOL) & (np.abs(np.vecdot(grad, alpha)) <= _NEWTON_TOL * x * scale)
         if stop.any():
             out_Z[rows[stop]], out_alpha[rows[stop]], steps[rows[stop]] = Z[stop], alpha[stop], it
             go = ~stop
@@ -422,13 +415,13 @@ def _newton_terminal(plan, Nl, x, utility, start):
         Wd = moves.T.take(leaves, axis=1)
         bound = np.divide(-Z, Wd, out=np.full_like(Z, math.inf), where=Wd < 0.0)
         t = np.minimum(1.0, 0.995 * bound.min(axis=1))
-        slope = _rowdot(grad, step).tolist()
+        slope = np.vecdot(grad, step).tolist()
         Zn = Z + t[:, None] * Wd
         positive = np.all(Zn > 0.0, axis=1).tolist()
         fn = np.full(len(rows), math.nan)
-        # each row's step is decided as the serial loop decides it, with the
-        # objectives of all rows that need one in a round evaluated together
-        fs, accept, search, stop = f.tolist(), [], [], []
+        # each row's step follows the scalar rules of a problem solved alone;
+        # the objectives a round needs are evaluated together
+        fs, accept, search, done = f.tolist(), [], [], []
         for i, (fi, si) in enumerate(zip(fs, slope)):
             if si > 4e-16 * max(1.0, abs(fi)):
                 search.append(i)
@@ -438,7 +431,7 @@ def _newton_terminal(plan, Nl, x, utility, start):
                 accept.append(i)
                 tail[i] += 1
             else:
-                stop.append(i)
+                done.append(i)
         if accept:
             fn[accept] = objective(Zn[accept], Nl[accept])
         # the others halve their step until the objective rises enough
@@ -469,11 +462,11 @@ def _newton_terminal(plan, Nl, x, utility, start):
         elif accept:
             alpha[accept] += t[accept, None] * step[accept]
             Z[accept], f[accept] = Zn[accept], fn[accept]
-        stop += search
-        if stop:
-            out_Z[rows[stop]], out_alpha[rows[stop]], steps[rows[stop]] = Z[stop], alpha[stop], it + 1
+        done += search
+        if done:
+            out_Z[rows[done]], out_alpha[rows[done]], steps[rows[done]] = Z[done], alpha[done], it + 1
             go = np.ones(len(rows), dtype=bool)
-            go[stop] = False
+            go[done] = False
             rows, tail, Z, alpha, Nl, x, f, rel = (
                 a[go] for a in (rows, tail, Z, alpha, Nl, x, f, rel))
             if not rows.size:
@@ -623,8 +616,8 @@ def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointV
 
     good = ~failed
     xi = Z[good] / Nl[good]
-    value[rows[good]] = _rowdot(utility.u(xi), p)
-    marginal[rows[good]] = _rowdot(utility.du(xi) / Nl[good], p)
+    value[rows[good]] = np.vecdot(utility.u(xi), p)
+    marginal[rows[good]] = np.vecdot(utility.du(xi) / Nl[good], p)
     return PointValues(value=value, marginal=marginal, newton_iters=iters,
                        errors=tuple(errors))
 
