@@ -591,7 +591,8 @@ def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointV
     rows, Z, Nl, N = rows[ok], Z[ok], Nl[ok], N[rows[ok]]
     Z_nodes = plan.process(alpha[ok].T, x[rows]).T
 
-    # the invariants, in the order solve_primal meets them
+    # the invariants, in the order solve_primal meets them: positive node
+    # wealth, then the span fits in the base and in the perturbed unit
     failed = np.zeros(len(rows), dtype=bool)
 
     def fail(bad, message):
@@ -602,17 +603,15 @@ def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointV
     fail(np.any(Z_nodes <= 0.0, axis=1), lambda i: "optimal wealth failed strict positivity")
     _, resid = _fit_proportions(tree, Z_nodes, m.returns.increments())
     fail(np.any(resid > 1e-8, axis=1), lambda i: _off_span_message(resid[i]))
-    moved = np.flatnonzero(eps[rows] != 0.0)
-    if moved.size:
+    moved = eps[rows] != 0.0
+    if moved.any():
         S = m.asset_prices().values[:, None, :] / N[moved].T[:, :, None]
         R = _returns_of_prices(tree, S)
         dR = np.zeros_like(R)
         dR[1:] = R[1:] - R[par]
-        _, resid = _fit_proportions(tree, Z_nodes[moved] / N[moved], dR.swapaxes(0, 1))
-        bad = np.zeros(len(rows), dtype=bool)
-        bad[moved] = np.any(resid > 1e-8, axis=1)
-        where = {int(i): r for i, r in zip(moved, resid)}
-        fail(bad, lambda i: _off_span_message(where[i]))
+        resid = np.zeros_like(resid)
+        resid[moved] = _fit_proportions(tree, Z_nodes[moved] / N[moved], dR.swapaxes(0, 1))[1]
+        fail(np.any(resid > 1e-8, axis=1), lambda i: _off_span_message(resid[i]))
 
     good = ~failed
     xi = Z[good] / Nl[good]
