@@ -50,17 +50,24 @@ def risk_tolerance(optimum: Optimum) -> RiskToleranceProcess:
     payoff = -utility.du(XT) / utility.d2u(XT)
 
     p = tree.leaf_prob
-    sw = np.sqrt(p)
-    design = np.column_stack([np.ones(tree.n_leaves), space.W])
-    sol, *_ = np.linalg.lstsq(design * sw[:, None], payoff * sw, rcond=None)
-    resid = design @ sol - payoff
+    complete = space.dim + 1 == tree.n_leaves
+    if complete:
+        # complete: one kernel pass replicates the payoff and returns its
+        # node values, and W is never built
+        vals, _, _ = space.plan.solve(p, payoff, None)
+        z, resid = float(vals[0]), vals[tree.leaves] - payoff
+    else:
+        sw = np.sqrt(p)
+        design = np.column_stack([np.ones(tree.n_leaves), space.W])
+        sol, *_ = np.linalg.lstsq(design * sw[:, None], payoff * sw, rcond=None)
+        z, resid = float(sol[0]), design @ sol - payoff
     certificate = float(np.sqrt(p @ resid**2))
     scale = float(np.sqrt(p @ payoff**2))
     if certificate > _REPLICATION_TOL * max(1.0, scale):
         return RiskToleranceProcess(exists=False, certificate=certificate, payoff=payoff)
 
-    z = float(sol[0])
-    vals = space.plan.process(sol[1:], z)
+    if not complete:
+        vals = space.plan.process(sol[1:], z)
     if np.any(vals <= 0.0):
         raise InvariantViolationError("replicating process of a positive payoff went nonpositive")
     return RiskToleranceProcess(exists=True, certificate=certificate, payoff=payoff,
