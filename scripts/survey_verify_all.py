@@ -1,12 +1,14 @@
-"""Survey `verify_all` verdicts on random trinomial markets.
+"""Survey `verify_all` verdicts on random trinomial or binomial markets.
 
 Runs `harness.verify_all` at x = 1 on `random_tree_market(default_rng(seed),
-depth=depth, max_branches=3)` for every seed, depth and utility given, and
-prints one line per failing check (seed, depth, utility, check, measured
-value, note), one per run that raised, and a count at the end.
+depth=depth, max_branches=branches)` for every seed, depth and utility
+given, and prints one line per failing check (seed, depth, utility, check,
+measured value, note), one per run that raised, and a count at the end.
+With `--branches 2` every market is a complete binomial tree.
 
     PYTHONPATH=src python scripts/survey_verify_all.py
     PYTHONPATH=src python scripts/survey_verify_all.py --seeds 0-5 --depths 1-3
+    PYTHONPATH=src python scripts/survey_verify_all.py --branches 2
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=_span, default=range(40), help="inclusive range, e.g. 0-39")
     ap.add_argument("--depths", type=_span, default=range(1, 4), help="inclusive range, e.g. 1-3")
+    ap.add_argument("--branches", type=int, choices=(2, 3), default=3,
+                    help="largest number of moves at a node (2: complete binomials)")
     args = ap.parse_args(argv)
     runs = failed = 0
     for seed in args.seeds:
         for depth in args.depths:
             for name, make in UTILITIES.items():
-                m = random_tree_market(np.random.default_rng(seed), depth=depth, max_branches=3)
+                m = random_tree_market(np.random.default_rng(seed), depth=depth,
+                                       max_branches=args.branches)
                 runs += 1
                 try:
                     rep = harness.verify_all(m, make(), 1.0)

@@ -2,12 +2,13 @@
 the second-order coefficients.
 
 The target payoff is the reciprocal-risk-aversion-scaled optimal wealth
-(-U'/U'' at the optimum).  Its replication is a dense weighted least-
-squares fit on the payoff matrix `W` of the model's shared attainable
-space (`MarketModel.space`), built for this fit alone, rather than a pass
-of the tree-elimination kernel: the initial capitals in
-`perfbench/reference.json` carry this fit's rounding, which a kernel fit
-would move by up to 1.6e-12 relative, beyond their gate.
+(-U'/U'' at the optimum).  On a complete tree, whose attainable span
+holds every payoff, one pass of the tree-elimination kernel on the plan of
+the model's shared attainable space (`MarketModel.space`) replicates it
+and returns its wealth at every node.  On an incomplete tree the fit is a
+dense weighted least-squares fit on the payoff matrix `W`: the initial
+capitals in `perfbench/reference.json` carry its rounding, which a kernel
+fit would move by up to 1.6e-12 relative, beyond their gate.
 When the payoff is replicable, discounting by the replicating process and
 reweighting by its terminal value times the dual density yields a measure
 under which the mixed second-order coefficients come from a two-component
@@ -41,8 +42,9 @@ class RiskToleranceProcess:
 
 
 def risk_tolerance(optimum: Optimum) -> RiskToleranceProcess:
-    """Replicate -U'(X_T)/U''(X_T) over self-financing wealths; on failure
-    the certificate is the physical-measure L2 distance to the span."""
+    """Replicate -U'(X_T)/U''(X_T) over self-financing wealths (by the kernel
+    on a complete tree, by a dense fit on `W` otherwise); on failure the
+    certificate is the physical-measure L2 distance to the span."""
     m, utility = optimum.primal.model, optimum.primal.utility
     space = m.space
     tree = m.tree
@@ -51,9 +53,7 @@ def risk_tolerance(optimum: Optimum) -> RiskToleranceProcess:
 
     p = tree.leaf_prob
     complete = space.dim + 1 == tree.n_leaves
-    if complete:
-        # complete: one kernel pass replicates the payoff and returns its
-        # node values, and W is never built
+    if complete:  # one kernel pass replicates and returns the node values
         vals, _, _ = space.plan.solve(p, payoff, None)
         z, resid = float(vals[0]), vals[tree.leaves] - payoff
     else:

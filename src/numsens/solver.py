@@ -11,8 +11,9 @@ step is the weighted least-squares fit that the tree-elimination kernel
 builds once: `MarketModel.space`) solves in time linear in the node count,
 and the gradient behind the first-order residual comes from subtree totals;
 the payoff matrix `AttainableSpace.W` is a view built on access, read only
-by the risk-tolerance replication.  Every tree, complete or not, solves this
-way; the wealth x + W·alpha meets the budget by construction.
+by the risk-tolerance replication on incomplete trees.  Every tree,
+complete or not, solves this way; the wealth x + W·alpha meets the budget
+by construction.
 
 Newton advances many problems on one plan at once, as the columns of the
 kernel's batch axis: each has its own wealth, perturbation and start, and
@@ -109,7 +110,7 @@ class AttainableSpace:
     @property
     def W(self) -> np.ndarray:
         """(n_leaves, dim) payoff matrix, built on each access; only the
-        risk-tolerance replication reads it."""
+        risk-tolerance replication on an incomplete tree reads it."""
         return self.plan.payoff_matrix()
 
 

@@ -112,3 +112,17 @@ def test_log_decomposition_is_degenerate_on_random_trees(seed):
     m = make_random_tree(seed, depth=1 + seed % 3)
     checks = {c.name: c for c in risk_tolerance_report(m, log_utility(), 1.0).checks}
     assert checks["gkw-log-degenerate"].passed, checks["gkw-log-degenerate"]
+
+
+@pytest.mark.parametrize("seed", [500005, 500004])
+def test_complete_binomial_recovery_maps_pass_at_depth_ten(seed):
+    # the dense replication lost accuracy to the spread of these binomials'
+    # leaf weights and read 1.3e-5 and 1.5e-6; the kernel's reads 4.6e-10
+    # and 1.2e-11 against the unchanged 1e-8
+    from conftest import make_random_tree
+    from numsens.harness import risk_tolerance_report
+    from numsens.preferences import power_utility
+    m = make_random_tree(seed, depth=10, max_branches=2)
+    checks = {c.name: c for c in risk_tolerance_report(m, power_utility(0.5), 1.0).checks}
+    assert checks["gkw-recovery-maps"].passed, checks["gkw-recovery-maps"]
+    assert all(c.passed for c in checks.values())

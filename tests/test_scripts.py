@@ -12,15 +12,29 @@ import pytest
 SURVEY = Path(__file__).resolve().parent.parent / "scripts" / "survey_verify_all.py"
 
 
-def test_survey_smoke(capsys):
+def _survey():
     spec = importlib.util.spec_from_file_location("survey_verify_all", SURVEY)
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
+    return survey
+
+
+def test_survey_smoke(capsys):
+    survey = _survey()
     assert survey.main(["--seeds", "0", "--depths", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     # one run per utility; seed 0 at depth 1 passes every check
     assert re.fullmatch(r"\d+ of 4 runs fail", out[-1])
     assert out == ["0 of 4 runs fail"]
+
+
+def test_survey_smoke_on_complete_binomials(capsys):
+    # seed 0 at depth 2 is a complete binomial with 4 leaves, and it passes
+    # every check under every utility
+    assert _survey().main(["--seeds", "0", "--depths", "2", "--branches", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 4 runs fail"]
+    with pytest.raises(SystemExit):
+        _survey().main(["--branches", "4"])
 
 
 BENCH_PAIRS = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
