@@ -458,6 +458,6 @@ def test_solve_and_expansion_stay_below_the_dense_payoff_matrix():
     # the risk-tolerance report on a complete binomial replicates by the
     # kernel: 0.85 MB peak where W takes 8.4 MB (the dense fit peaked at 17 MB)
     m = make_random_tree(0, depth=10, max_branches=2)
-    assert attainable_space(m).dim + 1 == m.tree.n_leaves == 1024
-    w_bytes = m.tree.n_leaves * attainable_space(m).dim * 8
-    assert _peak_bytes(lambda: risk_tolerance_report(m, u, 1.0)) < w_bytes / 2
+    dim = attainable_space(m).dim
+    assert dim + 1 == m.tree.n_leaves == 1024
+    assert _peak_bytes(lambda: risk_tolerance_report(m, u, 1.0)) < m.tree.n_leaves * dim * 8 / 2
