@@ -27,11 +27,14 @@ root-find, starts Newton from the base expansion's first-order prediction
 of the optimum (`ExpansionReport.newton_start`), which needs a fraction of
 the steps a start from the riskless wealth does; a campaign run standalone
 holds the same expansion as one inside `verify_all`, so both start alike.
+A cold log or power solve starts at the exact optimum instead
+(`solver._homothetic_start`); the campaigns keep the first-order start.
 The root-find itself is a safeguarded secant search on the marginal
 (`_dual_search`), at most five solves per grid point on the test markets,
 and needs no SciPy.
 The envelope check's +-h solves start cold: that check reads differences
-of values at the solves' noise floor, and warm solves moved its verdicts.
+of values at the solves' noise floor, and first-order starts moved its
+verdicts.
 """
 
 from __future__ import annotations

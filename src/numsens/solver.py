@@ -13,7 +13,10 @@ and the gradient behind the first-order residual comes from subtree totals;
 the payoff matrix `AttainableSpace.W` is a view built on access, read only
 by the risk-tolerance replication on incomplete trees.  Every tree,
 complete or not, solves this way; the wealth x + W·alpha meets the budget
-by construction.
+by construction.  Without a usable start, a log or power solve begins at
+its optimum, whose product form one pass up the plan finds
+(`_homothetic_start`), and Newton certifies it; a mixture starts from the
+riskless wealth.
 
 Newton advances many problems on one plan at once, as the columns of the
 kernel's batch axis: each has its own wealth, perturbation and start, and
@@ -360,26 +363,95 @@ def _foc_residual(plan, reach, leaf_grad, scale):
     return grad, np.max(np.abs(grad) / reach, axis=1, initial=0.0) / np.maximum(scale, 1e-300)
 
 
-def _newton_terminal(plan, Nl, x, utility, start):
+def _homothetic_start(plan, N, x, p):
+    """The exact optimum of U = x^p/p (log for p = 0) for B problems on one
+    plan, as rows of coefficients: problem i has initial wealth x[i] and
+    node numeraire N[i].  The value at node n is (Z/N_n)^p/p·K_n (Mossin
+    1968, Samuelson 1969), so each node picks the fractions a of its wealth
+    that maximize sum_c w_c·(1 + V_c·a)^p/p over its children c, with
+    w_c = q_c·K_c·(N_c/N_n)^(-p), K = 1 at the leaves and
+    K_n = sum_c w_c·(1 + V_c·a)^p: one damped Newton per (level, rank)
+    group up from the leaves, then alpha_n = Z_n·a_n down from the root."""
+    q = np.append(plan.tree.prob, 0.0)        # the padding child weighs nothing
+    N = np.concatenate([N, np.ones((len(x), 1))], axis=1)
+    logK, fractions = np.zeros_like(N), []    # log K stays finite on deep trees
+    # arrays run (row, child or column, node): each sum over children or
+    # columns adds whole rows of nodes, as a row alone adds them
+    for nodes, children, cols, V in reversed(plan.groups):
+        kids, V = children.T, V.transpose(2, 1, 0)
+        e = np.where(q[kids] > 0.0, logK[:, kids] - p * np.log(N[:, kids] / N[:, None, nodes]),
+                     -math.inf)
+        top = e.max(axis=1)
+        w = q[kids] * np.exp(e - top[:, None])
+        a, s = np.zeros((len(x), len(V), len(nodes))), np.ones_like(w)
+        live = np.full(top.shape, len(V) > 0)
+        sides = np.stack([V[0] > 0.0, V[0] < 0.0]) * np.abs(V[0]) if len(V) == 1 else None
+        for _ in range(_NEWTON_MAX_ITER):
+            if not live.any():
+                break
+            h = w * s ** (p - 2.0)
+            if len(V) == 1:
+                # Newton on P^e - M^e for e = 1/(p - 1), where P and M sum
+                # w_c·|v_c|·s_c^(p-1) over the children that gain and lose
+                # with a: each is linear in a where one child dominates it
+                PM, dPM = ((sides * y[:, None]).sum(axis=2) for y in (h * s, h * np.abs(V[0])))
+                PMe = PM ** (1.0 / (p - 1.0))
+                d = ((PMe[:, 1] - PMe[:, 0]) / (dPM * PMe / PM).sum(axis=1))[:, None]
+            else:
+                # Newton on the objective: (1 - p)·sum_c h_c·V_c·V_c'·d = sum_c h_c·s_c·V_c
+                hV = h[:, None] * V
+                H = (hV[:, :, None] * V).sum(axis=3).transpose(0, 3, 1, 2)
+                g = (hV * s[:, None]).sum(axis=2).transpose(0, 2, 1)
+                d = np.linalg.solve(H, g[..., None])[..., 0].transpose(0, 2, 1) / (1.0 - p)
+            # a fraction of the way to the boundary keeps every 1 + V_c·a > 0
+            fall = (-(V * d[:, :, None]).sum(axis=1) / s).max(axis=1)
+            d *= np.where(live, 0.995 / np.maximum(0.995, fall), 0.0)[:, None]
+            a += d
+            s = 1.0 + (V * a[:, :, None]).sum(axis=1)
+            # quadratic convergence: the step after one of 1e-9 is rounding
+            live &= np.abs(d).max(axis=1) > 1e-9
+        logK[:, nodes] = top + np.log((w * s**p).sum(axis=1))
+        fractions.append((a, s))
+    alpha, Z = np.empty((len(x), plan.n_cols)), np.empty_like(N)
+    Z[:, 0] = x
+    for (nodes, children, cols, _V), (a, s) in zip(plan.groups, reversed(fractions)):
+        alpha[:, cols.T], Z[:, children.T] = Z[:, None, nodes] * a, Z[:, None, nodes] * s
+    return alpha
+
+
+def _newton_terminal(plan, N, x, utility, start):
     """Newton for B problems on one plan at once, as rows: problem i has
-    initial wealth x[i] and leaf numeraire Nl[i], and starts from
-    Z = x[i] + W·start[i] when that wealth is strictly positive, from
-    alpha = 0 otherwise (and in every row when start is None).
+    initial wealth x[i] and node numeraire N[i], and starts from
+    Z = x[i] + W·start[i] when that wealth is strictly positive ("given").
+    Any other row (every row when start is None) starts, under a log or
+    power utility, at its exact optimum from `_homothetic_start`
+    ("homothetic"), and under a mixture from alpha = 0 ("riskless").
 
     Each row takes the steps, step lengths and stop it takes alone: the
     kernel solves every row still running in one batched call, and a row
     that has stopped leaves the batch.  Returns (leaf wealths Z,
-    coefficients alpha, Newton steps, errors); errors[i] is the
-    NumericalError that stopped row i, or None."""
+    coefficients alpha, Newton steps, errors, starts); errors[i] is the
+    NumericalError that stopped row i, or None, and starts[i] names row
+    i's start."""
     leaves, p = plan.tree.leaves, plan.tree.leaf_prob
     reach = plan.tree.path_prob[plan.col_node]
     B = len(x)
+    Nl = N.take(leaves, axis=1)
     alpha = np.zeros((B, plan.n_cols))
     Z = np.repeat(x[:, None], len(leaves), axis=1)
+    starts = np.full(B, "riskless", dtype=object)
+
+    def begin(rows, coeffs, name):
+        Zs = plan.process(coeffs.T, x[rows]).T.take(leaves, axis=1)
+        ok = np.all(Zs > 0.0, axis=1)
+        alpha[rows[ok]], Z[rows[ok]], starts[rows[ok]] = coeffs[ok], Zs[ok], name
+
     if start is not None:
-        Zs = plan.process(start.T, x).T.take(leaves, axis=1)
-        warm = np.all(Zs > 0.0, axis=1)
-        alpha[warm], Z[warm] = start[warm], Zs[warm]
+        begin(np.arange(B), start, "given")
+    cold = np.flatnonzero(starts == "riskless")
+    if cold.size and len(utility.components) == 1:
+        begin(cold, _homothetic_start(plan, N[cold], x[cold], utility.components[0][1]),
+              "homothetic")
     out_Z, out_alpha = Z.copy(), alpha.copy()
     steps = np.full(B, _NEWTON_MAX_ITER)
     errors = [None] * B
@@ -477,7 +549,7 @@ def _newton_terminal(plan, Nl, x, utility, start):
         for i in np.flatnonzero(rel > 1e-9).tolist():
             errors[rows[i]] = NumericalError(
                 f"Newton did not converge: relative residual {rel[i]:.3e}")
-    return out_Z, out_alpha, steps, errors
+    return out_Z, out_alpha, steps, errors, starts
 
 
 def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
@@ -486,9 +558,10 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     the eps-perturbed market, on the attainable space the model shares
     across its solves (`MarketModel.space`).  Newton starts from the
     coefficients `start` on that space's plan when they give a strictly
-    positive wealth, and from alpha = 0 otherwise; its stop does not depend
-    on the start.  This is the one-row case of the Newton `solve_values`
-    runs, plus the strategies."""
+    positive wealth, and from the cold start of `_newton_terminal`
+    otherwise (named in `diagnostics["newton_start"]`); its stop does not
+    depend on the start.  This is the one-row case of the Newton
+    `solve_values` runs, plus the strategies."""
     if x <= 0.0:
         raise ContractViolationError("initial wealth must be positive")
     tree = m.tree
@@ -497,8 +570,8 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
     p = tree.leaf_prob
     Nl = N.values[tree.leaves]
 
-    Z, alpha, steps, errors = _newton_terminal(
-        space.plan, Nl[None], np.array([float(x)]), utility,
+    Z, alpha, steps, errors, starts = _newton_terminal(
+        space.plan, N.values[None], np.array([float(x)]), utility,
         None if start is None else np.asarray(start, dtype=float)[None])
     if errors[0] is not None:
         raise errors[0]
@@ -526,7 +599,7 @@ def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
             tree, wealth, AdaptedProcess(tree, _returns_of_prices(tree, prices)))
     # terminal wealth spread drives the conditioning of every identity built
     # on this solve; extreme ratios cap attainable double-precision accuracy
-    diag = {"newton_dim": space.dim, "newton_iters": int(steps[0]),
+    diag = {"newton_dim": space.dim, "newton_iters": int(steps[0]), "newton_start": str(starts[0]),
             "wealth_ratio": float(np.max(xi) / np.min(xi)),
             "redundant_nodes": list(space.redundant_nodes)}
     return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
@@ -583,8 +656,8 @@ def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointV
     value, marginal = np.full(B, math.nan), np.full(B, math.nan)
     iters = np.zeros(B, dtype=np.int64)
     Nl = N[rows].take(leaves, axis=1)
-    Z, alpha, iters[rows], newton_errors = _newton_terminal(
-        plan, Nl, x[rows], utility,
+    Z, alpha, iters[rows], newton_errors, _ = _newton_terminal(
+        plan, N[rows], x[rows], utility,
         None if start is None else np.asarray(start, dtype=float).T[rows])
     for i, err in zip(rows.tolist(), newton_errors):
         errors[i] = err
