@@ -364,14 +364,15 @@ def _foc_residual(plan, reach, leaf_grad, scale):
 
 
 def _homothetic_start(plan, N, x, p):
-    """The exact optimum of U = x^p/p (log for p = 0) for B problems on one
-    plan, as rows of coefficients: problem i has initial wealth x[i] and
-    node numeraire N[i].  The value at node n is (Z/N_n)^p/p·K_n (Mossin
+    """The exact optimum under U(z) = z^p/p (log z for p = 0) of B problems
+    on one plan, as rows of coefficients: problem i has initial wealth x[i]
+    and node numeraire N[i].  The value at node n is (Z/N_n)^p/p·K_n (Mossin
     1968, Samuelson 1969), so each node picks the fractions a of its wealth
-    that maximize sum_c w_c·(1 + V_c·a)^p/p over its children c, with
-    w_c = q_c·K_c·(N_c/N_n)^(-p), K = 1 at the leaves and
-    K_n = sum_c w_c·(1 + V_c·a)^p: one damped Newton per (level, rank)
-    group up from the leaves, then alpha_n = Z_n·a_n down from the root."""
+    that maximize sum_c w_c·(1 + V_c·a)^p/p (or sum_c w_c·log(1 + V_c·a))
+    over its children c, with w_c = q_c·K_c·(N_c/N_n)^(-p), K = 1 at the
+    leaves and K_n = sum_c w_c·(1 + V_c·a)^p: one damped Newton per (level,
+    rank) group up from the leaves, then alpha_n = Z_n·a_n down from the
+    root."""
     q = np.append(plan.tree.prob, 0.0)        # the padding child weighs nothing
     N = np.concatenate([N, np.ones((len(x), 1))], axis=1)
     logK, fractions = np.zeros_like(N), []    # log K stays finite on deep trees
