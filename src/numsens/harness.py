@@ -33,8 +33,7 @@ The root-find itself is a safeguarded secant search on the marginal
 (`_dual_search`), at most five solves per grid point on the test markets,
 and needs no SciPy.
 The envelope check's +-h solves start cold: that check reads differences
-of values at the solves' noise floor, and first-order starts moved its
-verdicts.
+of values at the solves' noise floor, and warm solves moved its verdicts.
 """
 
 from __future__ import annotations

@@ -370,9 +370,8 @@ def _homothetic_start(plan, N, x, p):
     1968, Samuelson 1969), so each node picks the fractions a of its wealth
     that maximize sum_c w_c·(1 + V_c·a)^p/p (or sum_c w_c·log(1 + V_c·a))
     over its children c, with w_c = q_c·K_c·(N_c/N_n)^(-p), K = 1 at the
-    leaves and K_n = sum_c w_c·(1 + V_c·a)^p: one damped Newton per (level,
-    rank) group up from the leaves, then alpha_n = Z_n·a_n down from the
-    root."""
+    leaves and K_n = sum_c w_c·(1 + V_c·a)^p: a damped Newton per (level,
+    rank) group up from the leaves, then alpha_n = Z_n·a_n from the root."""
     q = np.append(plan.tree.prob, 0.0)        # the padding child weighs nothing
     N = np.concatenate([N, np.ones((len(x), 1))], axis=1)
     logK, fractions = np.zeros_like(N), []    # log K stays finite on deep trees
@@ -424,16 +423,15 @@ def _newton_terminal(plan, N, x, utility, start):
     """Newton for B problems on one plan at once, as rows: problem i has
     initial wealth x[i] and node numeraire N[i], and starts from
     Z = x[i] + W·start[i] when that wealth is strictly positive ("given").
-    Any other row (every row when start is None) starts, under a log or
-    power utility, at its exact optimum from `_homothetic_start`
-    ("homothetic"), and under a mixture from alpha = 0 ("riskless").
+    Other rows (all when start is None) start at the `_homothetic_start`
+    optimum under log or power utility ("homothetic"), else at alpha = 0
+    ("riskless").
 
     Each row takes the steps, step lengths and stop it takes alone: the
     kernel solves every row still running in one batched call, and a row
     that has stopped leaves the batch.  Returns (leaf wealths Z,
     coefficients alpha, Newton steps, errors, starts); errors[i] is the
-    NumericalError that stopped row i, or None, and starts[i] names row
-    i's start."""
+    NumericalError that stopped row i, or None, and starts[i] row i's start."""
     leaves, p = plan.tree.leaves, plan.tree.leaf_prob
     reach = plan.tree.path_prob[plan.col_node]
     B = len(x)
