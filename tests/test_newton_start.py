@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numsens.harness import verify_all
 from numsens.instances import binomial_walk_market, two_asset_market
 from numsens.market import numeraire
 from numsens.preferences import log_utility, mixture_utility, power_utility
@@ -158,6 +159,15 @@ def test_cold_start_meets_the_complete_tree_closed_form(name):
             Nl = numeraire(m, eps).values[m.tree.leaves]
             value = float(p @ u.u(Z / Nl))
             assert abs(float(p @ u.u(start / Nl)) - value) <= 2e-14 * max(1.0, abs(value))
+
+
+def test_the_start_stays_out_of_the_report_bytes():
+    # the start is a diagnostic of one solve, not a result: reports carry
+    # the same checks and names whichever start their solves took
+    m = make_random_tree(0, depth=2)
+    for u in UTILITIES.values():
+        text = verify_all(m, u, 1.0).to_text()
+        assert "newton_start" not in text and "homothetic" not in text
 
 
 @pytest.mark.parametrize("seed", range(4))
