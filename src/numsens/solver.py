@@ -35,13 +35,14 @@ martingale; `verify_deflator` checks the supermartingale inequalities
 directly.
 
 No-arbitrage is checked node by node before the space is built: for one
-stock by the signs of the moves, for d >= 2 stocks by a stacked Esscher
-certificate (`_esscher_certified`), and only the nodes it cannot certify
-go to a per-node LP.  SciPy is imported on first use, through `linprog`
-(that LP) and `brentq` (which no package code calls), the package's only
-two entry points into it.  Importing `scipy.optimize` costs several times
-what the rest of the package does, and no step of `verify_all` on an
-arbitrage-free market whose every node certifies needs it.
+stock by the signs of the moves, for d >= 2 stocks by a barrier Newton
+stacked over each branch group (`_barrier_certified`), whose weights
+certify a strictly positive pricing vector, and only the nodes it cannot
+certify go to a per-node LP.  SciPy is imported on first use, through
+`linprog` (that LP) and `brentq` (which no package code calls), the
+package's only two entry points into it.  Importing `scipy.optimize` costs
+several times what the rest of the package does, and no step of
+`verify_all` on an arbitrage-free market whose every node certifies needs it.
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ from .preferences import Utility
 from .tree import AdaptedProcess, BlockPlan, EventTree, PredictableProcess, rank_stacks
 
 _ARB_TOL = 1e-11
-_ESSCHER_TOL = 1e-12      # gradient that ends the certificate's Newton
-_ESSCHER_MAX_ITER = 50
 _ROUNDOFF = 1e-14         # constraint residual of a certified pricing vector
-_BARRIER_STEPS = 30       # Newton steps towards the analytic center of a doubtful node
+_BARRIER_STEPS = 30       # barrier Newton steps a d >= 2 node gets to certify
 _NEWTON_TOL = 1e-13       # relative first-order residual that ends Newton
 _NEWTON_MAX_ITER = 200
 
@@ -147,82 +146,6 @@ def _one_step_arbitrage(D: np.ndarray) -> bool:
     return res.x[k] <= _ARB_TOL
 
 
-def _log_partition(D, c):
-    """log sum_i exp(c·D_i) at each node of an (n, k, d) stack of moves, and
-    the Esscher weights q ∝ exp(c·D)."""
-    s = np.einsum("nkd,nd->nk", D, c)
-    top = s.max(axis=1, keepdims=True)
-    e = np.exp(s - top)
-    total = e.sum(axis=1, keepdims=True)
-    return top[:, 0] + np.log(total[:, 0]), e / total
-
-
-def _esscher_certified(D: np.ndarray) -> np.ndarray:
-    """For an (n, k, d) stack of one-step moves, True where a node provably
-    has no arbitrage; False leaves the node to the LP.
-
-    A node has no arbitrage iff min_c log sum_i exp(c·D_i) is attained, and
-    the minimizer's Esscher weights q ∝ exp(c·D) then price it (Rogers 1994,
-    after Dalang–Morton–Willinger).  One damped Newton runs on the whole
-    stack; each node's weights are then projected exactly onto
-    {D'q = 0, sum q = 1}.  A projected floor above `_ARB_TOL` with the
-    constraints met to roundoff is a feasible point of the LP's floor
-    maximization, so the LP passes every node certified here.  A node the
-    Esscher weights leave in doubt gets a second candidate, the analytic
-    center of its pricing vectors (`_analytic_center`), checked the same
-    way."""
-    n, k, d = D.shape
-    scale = np.max(np.abs(D), axis=(1, 2))
-    D = D / np.where(scale > 0.0, scale, 1.0)[:, None, None]   # as the LP scales
-    c = np.zeros((n, d))
-    f, q = _log_partition(D, c)
-    live = np.ones(n, dtype=bool)
-    for _ in range(_ESSCHER_MAX_ITER):
-        mean = np.einsum("nk,nkd->nd", q, D)      # the gradient in c
-        live &= np.max(np.abs(mean), axis=1) > _ESSCHER_TOL
-        idx = np.flatnonzero(live)
-        if not idx.size:
-            break
-        Dc = D[idx] - mean[idx, None, :]
-        cov = np.einsum("nk,nki,nkj->nij", q[idx], Dc, Dc)
-        # an arbitrage drives c off to infinity and the weights onto fewer
-        # moves, until the step overflows: such a node stops where it is
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = -(np.linalg.pinv(cov, hermitian=True) @ mean[idx, :, None])[:, :, 0]
-            slope = np.einsum("nd,nd->n", mean[idx], step)
-            descent = np.isfinite(slope) & (slope < 0.0)
-            live[idx[~descent]] = False
-            idx, step, slope = idx[descent], step[descent], slope[descent]
-            # halve each node's step until its objective falls enough (a NaN
-            # never does); within roundoff of f no fall shows, and the full
-            # step is taken
-            t = np.ones(idx.size)
-            fn, qn = _log_partition(D[idx], c[idx] + step)
-            flat = -slope <= 1e-15 * np.maximum(1.0, np.abs(f[idx]))
-            short = ~((fn <= f[idx] + 1e-4 * slope) | (flat & np.isfinite(fn)))
-            for _ in range(60):
-                b = np.flatnonzero(short)
-                if not b.size:
-                    break
-                t[b] *= 0.5
-                fn[b], qn[b] = _log_partition(D[idx[b]], c[idx[b]] + t[b, None] * step[b])
-                short[b] = ~(fn[b] <= f[idx[b]] + 1e-4 * t[b] * slope[b])
-        live[idx[short]] = False
-        ok = ~short
-        idx = idx[ok]
-        c[idx] += t[ok, None] * step[ok]
-        f[idx], q[idx] = fn[ok], qn[ok]
-    certified = _certifies(D, q)
-    # weights that starve a move, as an arbitrage-free node whose Esscher
-    # minimizer nearly ignores one move has them, move to the analytic
-    # center of the node's pricing vectors, whose floor is the LP's order
-    doubt = np.flatnonzero(~certified)
-    if doubt.size:
-        centered = _analytic_center(D[doubt], 0.5 * (q[doubt] + 1.0 / k))
-        certified[doubt] = _certifies(D[doubt], centered)
-    return certified
-
-
 def _pricing_constraints(D):
     """(A, rhs) of the constraints D'q = 0, sum q = 1 on an (n, k, d) stack."""
     n, k, d = D.shape
@@ -243,14 +166,25 @@ def _certifies(D, q):
     return (q.min(axis=1) > _ARB_TOL) & (resid <= _ROUNDOFF)
 
 
-def _analytic_center(D, q):
-    """Newton steps on the log-barrier -sum log q over {D'q = 0, sum q = 1}
-    at each node of an (n, k, d) stack, from strictly positive weights q
-    that need not meet the constraints (an infeasible start).  Each step
-    keeps the weights strictly positive and, once it is a full one, meets
-    the constraints; where the node has an arbitrage the set has no interior
-    and the weights never certify."""
+def _barrier_certified(D: np.ndarray) -> np.ndarray:
+    """For an (n, k, d) stack of one-step moves, True where a node provably
+    has no arbitrage; False leaves the node to the LP.
+
+    A node has no arbitrage iff a strictly positive pricing vector q with
+    D'q = 0, sum q = 1 exists (Dalang–Morton–Willinger).  Newton steps on the
+    log-barrier -sum log q over that set run on the whole stack from uniform
+    weights, which need not meet the constraints (an infeasible start): each
+    step keeps the weights strictly positive and, once it is a full one,
+    meets the constraints.  After each step a node whose weights certify
+    (`_certifies`) leaves the loop; where the node has an arbitrage the set
+    has no interior and the weights never certify."""
+    n, k, _ = D.shape
+    scale = np.max(np.abs(D), axis=(1, 2))
+    D = D / np.where(scale > 0.0, scale, 1.0)[:, None, None]   # as the LP scales
     A, rhs = _pricing_constraints(D)
+    certified = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    q = np.full((n, k), 1.0 / k)
     with np.errstate(all="ignore"):
         for _ in range(_BARRIER_STEPS):
             AQ = A * q[:, None, :]
@@ -259,7 +193,12 @@ def _analytic_center(D, q):
             dq = q - q * q * (A.mT @ w)[:, :, 0]
             room = np.where(dq < 0.0, q / -dq, np.inf).min(axis=1)
             q = q + np.minimum(1.0, 0.99 * room)[:, None] * dq
-    return q
+            done = _certifies(D, q)
+            certified[live[done]] = True
+            live, D, A, q = live[~done], D[~done], A[~done], q[~done]
+            if not live.size:
+                break
+    return certified
 
 
 def attainable_space(m: MarketModel) -> AttainableSpace:
@@ -279,7 +218,7 @@ def attainable_space(m: MarketModel) -> AttainableSpace:
         # rest, in node order
         doubt = np.zeros(tree.n_nodes, dtype=bool)
         for nodes, ch in tree.branch_groups.values():
-            doubt[nodes] = ~_esscher_certified(dR[ch][:, :, 1:])
+            doubt[nodes] = ~_barrier_certified(dR[ch][:, :, 1:])
         first = next((node for node in np.flatnonzero(doubt)
                       if _one_step_arbitrage(dR[tree.children[node]][:, 1:])), None)
     if first is not None:

@@ -2,11 +2,13 @@
 
 The package imports `scipy.optimize` only inside `solver.linprog` and
 `solver.brentq`.  The first runs the d >= 2 arbitrage LP, for the nodes the
-stacked certificate cannot clear; no package code calls the second, which
-stays for the benchmark's layer names.  The import checks run in fresh
-interpreters, since this test process has long since loaded SciPy; the
-wrapper checks compare each entry point with the SciPy routine it forwards
-to."""
+stacked barrier-Newton certificate (`solver._barrier_certified`) cannot
+clear; no package code calls the second, which stays for the benchmark's
+layer names.  The import checks run in fresh interpreters, since this test
+process has long since loaded SciPy: `import numsens`, a solve with its
+expansion, the risk-tolerance report, and `verify_all` on arbitrage-free
+markets with one and two stocks load none of it.  The wrapper checks
+compare each entry point with the SciPy routine it forwards to."""
 
 import json
 import os

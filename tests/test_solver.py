@@ -128,8 +128,9 @@ def test_one_step_arbitrage_detected(logu):
 
 def _random_nodes(rng, d):
     """(label, D) one-step move matrices of d stocks: generic, rank-deficient
-    and zero nodes, pricing vectors with a floor near `_ARB_TOL`, and exact
-    arbitrages."""
+    and zero nodes, pricing vectors with a floor near `_ARB_TOL`, exact
+    arbitrages, and hard cases: a tiny pricing weight, badly scaled stocks
+    and heavy-tailed moves priced by weights near the simplex's edge."""
     nodes = []
     for k in (d + 1, d + 2, 6):
         for _ in range(12):
@@ -153,17 +154,28 @@ def _random_nodes(rng, d):
             q[0] = floor * solver._ARB_TOL
             D = rng.normal(size=(d + 1, d))
             nodes.append(("floor above" if floor > 1.0 else "floor below", D - q @ D))
+    for k in (d + 1, d + 2, 6):
+        for _ in range(12):
+            q = rng.uniform(0.1, 1.0, k)
+            q[0] = 10.0 ** rng.uniform(-10.0, -2.0)
+            q /= q.sum()
+            D = rng.normal(size=(k, d))
+            nodes.append(("tiny weight", D - q @ D))
+            nodes.append(("scaled", rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3.0, 3.0, d)))
+            q = rng.dirichlet(np.full(k, 0.3))
+            D = rng.standard_cauchy(size=(k, d))
+            nodes.append(("cauchy", D - q @ D))
     return nodes
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_esscher_certificate_only_clears_nodes_the_lp_passes(d):
+def test_certificate_only_clears_nodes_the_lp_passes(d):
     nodes = _random_nodes(np.random.default_rng(d), d)
     # stacked by branch count, as attainable_space stacks a branch group
     certified = np.zeros(len(nodes), dtype=bool)
     for k in {D.shape[0] for _, D in nodes}:
         idx = [i for i, (_, D) in enumerate(nodes) if D.shape[0] == k]
-        certified[idx] = solver._esscher_certified(np.stack([nodes[i][1] for i in idx]))
+        certified[idx] = solver._barrier_certified(np.stack([nodes[i][1] for i in idx]))
     lp_arbitrage = np.array([solver._one_step_arbitrage(D) for _, D in nodes])
     labels = np.array([label for label, _ in nodes])
     assert not np.any(certified & lp_arbitrage)
@@ -180,14 +192,25 @@ def test_esscher_certificate_only_clears_nodes_the_lp_passes(d):
     assert np.all(lp_arbitrage[labels == "floor below"])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_verdict_is_the_nodes_own(d):
+    # a node's verdict does not depend on the other nodes of its branch group
+    nodes = _random_nodes(np.random.default_rng(d), d)
+    for k in {D.shape[0] for _, D in nodes}:
+        stack = np.stack([D for _, D in nodes if D.shape[0] == k])
+        alone = [solver._barrier_certified(D[None])[0] for D in stack]
+        assert np.array_equal(solver._barrier_certified(stack), alone), k
+
+
 def test_nodes_that_starve_a_move_certify():
     # random normal d = 2 nodes, drawn in turn with 4 and 6 moves: two
-    # arbitrage-free 6-move nodes had Esscher weights of about 1e-16 on one
-    # move although the LP's best floor is about 5e-3, and went to the LP
+    # arbitrage-free 6-move nodes have pricing vectors that put almost no
+    # weight on one move, although the LP's best floor is about 5e-3; a
+    # certificate that proposes such weights leaves them to the LP
     rng = np.random.default_rng(1)
     drawn = [(rng.normal(size=(4, 2)), rng.normal(size=(6, 2))) for _ in range(300)]
     for k, nodes in ((4, [a for a, _ in drawn]), (6, [b for _, b in drawn])):
-        certified = solver._esscher_certified(np.stack(nodes))
+        certified = solver._barrier_certified(np.stack(nodes))
         lp_arbitrage = np.array([solver._one_step_arbitrage(D) for D in nodes])
         # the LP still decides every arbitrage, and passes every certified node
         assert np.array_equal(certified, ~lp_arbitrage), k
