@@ -21,11 +21,18 @@ riskless wealth.
 Newton advances many problems on one plan at once, as the columns of the
 kernel's batch axis: each has its own wealth, perturbation and start, and
 keeps its own step lengths and stop, so each column's numbers are those of
-its solve alone.  `solve_primal` is the one-column case and builds the
-strategies; `solve_values` returns only the values and marginals of many
-points, as the campaigns' re-solves need, and checks the invariants the
-strategies would (positive wealth, wealth increments in the traded span)
-stacked over the points.
+its solve alone.  One path (`_solve_points`) runs every solve: `solve_values`
+returns the values and marginals of many points, as the campaigns'
+re-solves need, and `solve_primal` is its one-point case plus the
+first-order residual and the strategy.  A point's node wealth must stay
+strictly positive, and its increments must lie in the span of the one-step
+returns, which the fit of its proportions checks once, in the base unit.
+Self-financing wealth does not depend on the unit of account (Geman, El
+Karoui and Rochet, J. Appl. Probab. 32 (1995)): in the perturbed unit each
+row of the fit, design and target, is the base row divided by N_c/N_n =
+1 + eps·(jump of the perturbation), which lies in (1/2, 3/2) as |eps| < eps0.
+Scaling rows keeps the exact solutions, so the minimum-norm proportions are
+the same, and moves the residual by a bounded factor only.
 
 The dual optimizer is built from the primal one: its terminal value is the
 marginal utility of the optimal wealth, and the product with the optimal
@@ -251,8 +258,9 @@ class PrimalSolution:
     marginal: float                    # y = u_x(x, eps)
     wealth: AdaptedProcess             # optimal wealth under the perturbed unit
     zwealth: AdaptedProcess            # the same wealth in unperturbed units
-    strategy: PredictableProcess       # proportions (bank first) in the perturbed market
-    strategy_base: PredictableProcess  # proportions generating zwealth from the base returns
+    # proportions (bank first) generating zwealth from the base returns and
+    # wealth from the perturbed price returns: one fit serves both units
+    strategy: PredictableProcess
     foc_residual: float
     # Newton's coefficients on `model.space.plan`: zwealth = x + W·coeffs
     coeffs: np.ndarray = field(repr=False)
@@ -378,6 +386,8 @@ def _newton_terminal(plan, N, x, utility, start):
     alpha = np.zeros((B, plan.n_cols))
     Z = np.repeat(x[:, None], len(leaves), axis=1)
     starts = np.full(B, "riskless", dtype=object)
+    if not B:   # the kernel takes no empty batch
+        return Z, alpha, np.zeros(0, dtype=np.int64), [], starts
 
     def begin(rows, coeffs, name):
         Zs = plan.process(coeffs.T, x[rows]).T.take(leaves, axis=1)
@@ -490,62 +500,6 @@ def _newton_terminal(plan, N, x, utility, start):
     return out_Z, out_alpha, steps, errors, starts
 
 
-def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
-                 start: np.ndarray = None) -> PrimalSolution:
-    """Exact maximizer of expected terminal utility at initial wealth x in
-    the eps-perturbed market, on the attainable space the model shares
-    across its solves (`MarketModel.space`).  Newton starts from the
-    coefficients `start` on that space's plan when they give a strictly
-    positive wealth, and from the cold start of `_newton_terminal`
-    otherwise (named in `diagnostics["newton_start"]`); its stop does not
-    depend on the start.  This is the one-row case of the Newton
-    `solve_values` runs, plus the strategies."""
-    if x <= 0.0:
-        raise ContractViolationError("initial wealth must be positive")
-    tree = m.tree
-    N = numeraire(m, eps)
-    space = m.space
-    p = tree.leaf_prob
-    Nl = N.values[tree.leaves]
-
-    Z, alpha, steps, errors, starts = _newton_terminal(
-        space.plan, N.values[None], np.array([float(x)]), utility,
-        None if start is None else np.asarray(start, dtype=float)[None])
-    if errors[0] is not None:
-        raise errors[0]
-    Z_leaf, alpha = Z[0], alpha[0]
-    Z_nodes = space.plan.process(alpha, float(x))
-
-    if np.any(Z_nodes <= 0.0):
-        raise InvariantViolationError("optimal wealth failed strict positivity")
-
-    xi = Z_leaf / Nl
-    du = utility.du(xi)
-    value = float(p @ utility.u(xi))
-    y = float(p @ (du / Nl))
-    _, foc = _foc_residual(space.plan, tree.path_prob[space.plan.col_node],
-                           (p * du / Nl)[None], np.array([y]))
-
-    zwealth = AdaptedProcess(tree, Z_nodes)
-    wealth = AdaptedProcess(tree, Z_nodes / N.values)
-    strat_base = _proportions_from_wealth(tree, zwealth, m.returns)
-    if eps == 0.0:
-        strat = strat_base
-    else:
-        prices = m.asset_prices().values / N.values[:, None]
-        strat = _proportions_from_wealth(
-            tree, wealth, AdaptedProcess(tree, _returns_of_prices(tree, prices)))
-    # terminal wealth spread drives the conditioning of every identity built
-    # on this solve; extreme ratios cap attainable double-precision accuracy
-    diag = {"newton_dim": space.dim, "newton_iters": int(steps[0]), "newton_start": str(starts[0]),
-            "wealth_ratio": float(np.max(xi) / np.min(xi)),
-            "redundant_nodes": list(space.redundant_nodes)}
-    return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
-                          value=value, marginal=y, wealth=wealth, zwealth=zwealth,
-                          strategy=strat, strategy_base=strat_base,
-                          foc_residual=float(foc[0]), coeffs=alpha, diagnostics=diag)
-
-
 @dataclass(frozen=True)
 class PointValues:
     """u(x_i, eps_i), u_x(x_i, eps_i) and Newton's step count at each point
@@ -565,24 +519,29 @@ class PointValues:
         return self.value
 
 
-def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointValues:
-    """The values and marginals of `solve_primal` at the points
-    (x[i], eps[i]), from one Newton pass over all of them, without the
-    strategies.  Column i of the (n_cols, B) coefficients `start` starts
-    point i as `solve_primal`'s start does.
-
-    Each point keeps the invariants `solve_primal` enforces: strictly
-    positive node wealth, and wealth increments inside the traded span (to
-    1e-8) in the base unit and, at eps != 0, in the perturbed unit.  The
-    span fits run stacked over the points and build no proportions.  A
-    point's values equal its `solve_primal` values bit for bit."""
+def _solve_points(m: MarketModel, utility: Utility, x, eps, start):
+    """The one solve path of `solve_primal` and `solve_values`: Newton at
+    the points (x[i], eps[i]) from column i of the (n_cols, B) coefficients
+    `start`, then each point's invariants in order: strictly positive node
+    wealth, then wealth increments the base-unit fit of the proportions
+    meets to 1e-8.  Returns the points' `PointValues` and, with a row per
+    point that passed (None if none did), (numeraires, leaf wealths in the
+    perturbed unit, coefficients, Newton starts, node wealths in the base
+    unit, stock proportions)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     eps = np.asarray(eps, dtype=float).reshape(-1)
     if np.any(x <= 0.0):
         raise ContractViolationError("initial wealth must be positive")
     tree, plan = m.tree, m.space.plan
-    leaves, p, par = tree.leaves, tree.leaf_prob, tree.parent[1:]
     B = len(x)
+    if len(eps) != B:
+        raise ContractViolationError(f"{B} initial wealths but {len(eps)} perturbations")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (plan.n_cols, B):
+            raise ContractViolationError(
+                f"start must hold {plan.n_cols} coefficients per point, as an array of "
+                f"shape ({plan.n_cols}, {B}); got shape {start.shape}")
     errors = [None] * B
     N = np.ones((B, tree.n_nodes))
     for i, e in enumerate(eps.tolist()):
@@ -593,52 +552,75 @@ def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointV
     rows = np.flatnonzero([err is None for err in errors])
     value, marginal = np.full(B, math.nan), np.full(B, math.nan)
     iters = np.zeros(B, dtype=np.int64)
-    Nl = N[rows].take(leaves, axis=1)
-    Z, alpha, iters[rows], newton_errors, _ = _newton_terminal(
-        plan, N[rows], x[rows], utility,
-        None if start is None else np.asarray(start, dtype=float).T[rows])
+    Z, alpha, iters[rows], newton_errors, starts = _newton_terminal(
+        plan, N[rows], x[rows], utility, None if start is None else start.T[rows])
     for i, err in zip(rows.tolist(), newton_errors):
         errors[i] = err
     ok = np.array([err is None for err in newton_errors], dtype=bool)
-    rows, Z, Nl, N = rows[ok], Z[ok], Nl[ok], N[rows[ok]]
-    Z_nodes = plan.process(alpha[ok].T, x[rows]).T
+    rows, Z, alpha, starts = rows[ok], Z[ok], alpha[ok], starts[ok]
+    if not rows.size:
+        return PointValues(value, marginal, iters, tuple(errors)), None
+    Z_nodes = plan.process(alpha.T, x[rows]).T
 
-    # the invariants, in the order solve_primal meets them: positive node
-    # wealth, then the span fits in the base and in the perturbed unit
-    failed = np.zeros(len(rows), dtype=bool)
-
-    def fail(bad, message):
-        for i in np.flatnonzero(bad & ~failed).tolist():
-            errors[rows[i]] = InvariantViolationError(message(i))
-        failed[bad] = True
-
-    fail(np.any(Z_nodes <= 0.0, axis=1), lambda i: "optimal wealth failed strict positivity")
-    _, resid = _fit_proportions(tree, Z_nodes, m.returns.increments())
-    fail(np.any(resid > 1e-8, axis=1), lambda i: _off_span_message(resid[i]))
-    moved = eps[rows] != 0.0
-    if moved.any():
-        S = m.asset_prices().values[:, None, :] / N[moved].T[:, :, None]
-        R = _returns_of_prices(tree, S)
-        dR = np.zeros_like(R)
-        dR[1:] = R[1:] - R[par]
-        resid = np.zeros_like(resid)
-        resid[moved] = _fit_proportions(tree, Z_nodes[moved] / N[moved], dR.swapaxes(0, 1))[1]
-        fail(np.any(resid > 1e-8, axis=1), lambda i: _off_span_message(resid[i]))
-
-    good = ~failed
-    xi = Z[good] / Nl[good]
-    value[rows[good]] = np.vecdot(utility.u(xi), p)
-    marginal[rows[good]] = np.vecdot(utility.du(xi) / Nl[good], p)
-    return PointValues(value=value, marginal=marginal, newton_iters=iters,
-                       errors=tuple(errors))
+    nonpositive = np.any(Z_nodes <= 0.0, axis=1)
+    sol, resid = _fit_proportions(tree, Z_nodes, m.returns.increments())
+    off_span = resid > 1e-8
+    good = ~nonpositive & ~off_span.any(axis=1)
+    for i in np.flatnonzero(~good).tolist():
+        errors[rows[i]] = InvariantViolationError(
+            "optimal wealth failed strict positivity" if nonpositive[i] else
+            f"wealth increments leave the traded span at node {np.flatnonzero(off_span[i])[0]}")
+    # value and marginal from Newton's leaf wealths, as its stop judged them
+    N = N[rows[good]]
+    Nl = N.take(tree.leaves, axis=1)
+    xi = Z[good] / Nl
+    value[rows[good]] = np.vecdot(utility.u(xi), tree.leaf_prob)
+    marginal[rows[good]] = np.vecdot(utility.du(xi) / Nl, tree.leaf_prob)
+    return (PointValues(value, marginal, iters, tuple(errors)),
+            (N, xi, alpha[good], starts[good], Z_nodes[good], sol[good]))
 
 
-def _returns_of_prices(tree, S) -> np.ndarray:
-    """Cumulative simple returns of prices S (node axis first), starting at 0."""
-    par = tree.parent[1:]
-    inc = np.zeros_like(S)
-    inc[1:] = (S[1:] - S[par]) / S[par]
-    return tree.cumulate(inc, 0.0)
+def solve_primal(m: MarketModel, utility: Utility, x: float, eps: float = 0.0,
+                 start: np.ndarray = None) -> PrimalSolution:
+    """Exact maximizer of expected terminal utility at initial wealth x in
+    the eps-perturbed market, on the attainable space the model shares
+    across its solves (`MarketModel.space`).  Newton starts from the
+    coefficients `start` on that space's plan when they give a strictly
+    positive wealth, and from the cold start of `_newton_terminal`
+    otherwise (named in `diagnostics["newton_start"]`); its stop does not
+    depend on the start.  This is the one-point case of `solve_values`,
+    plus the first-order residual and the strategy."""
+    points, solved = _solve_points(
+        m, utility, [float(x)], [float(eps)],
+        None if start is None else np.asarray(start, dtype=float)[..., None])
+    points.checked()
+    N, xi, alpha, newton_start, Z, stock = (a[0] for a in solved)
+    tree, space = m.tree, m.space
+    p, Nl = tree.leaf_prob, N[tree.leaves]
+    y = float(points.marginal[0])
+    _, foc = _foc_residual(space.plan, tree.path_prob[space.plan.col_node],
+                           (p * utility.du(xi) / Nl)[None], np.array([y]))
+    # terminal wealth spread drives the conditioning of every identity built
+    # on this solve; extreme ratios cap attainable double-precision accuracy
+    diag = {"newton_dim": space.dim, "newton_iters": int(points.newton_iters[0]),
+            "newton_start": str(newton_start), "wealth_ratio": float(np.max(xi) / np.min(xi)),
+            "redundant_nodes": list(space.redundant_nodes)}
+    return PrimalSolution(model=m, utility=utility, x=float(x), eps=float(eps),
+                          value=float(points.value[0]), marginal=y,
+                          wealth=AdaptedProcess(tree, Z / N), zwealth=AdaptedProcess(tree, Z),
+                          strategy=PredictableProcess.from_steps(
+                              tree, np.column_stack([1.0 - stock.sum(axis=1), stock])),
+                          foc_residual=float(foc[0]), coeffs=alpha, diagnostics=diag)
+
+
+def solve_values(m: MarketModel, utility: Utility, x, eps, start=None) -> PointValues:
+    """The values and marginals of `solve_primal` at the points
+    (x[i], eps[i]), from one pass of its solve path over all of them,
+    without the strategies: column i of the (n_cols, B) coefficients
+    `start` starts point i as `solve_primal`'s start does, each point
+    keeps its invariants, and a point's values equal its `solve_primal`
+    values bit for bit."""
+    return _solve_points(m, utility, x, eps, start)[0]
 
 
 def _fit_proportions(tree, Wv, dRet):
@@ -649,20 +631,6 @@ def _fit_proportions(tree, Wv, dRet):
     growth = np.zeros_like(Wv)
     growth[..., 1:] = Wv[..., 1:] / Wv[..., tree.parent[1:]] - 1.0 - dRet[..., 1:, 0]
     return fit_steps(tree, dRet[..., 1:] - dRet[..., :1], growth)
-
-
-def _off_span_message(resid) -> str:
-    return f"wealth increments leave the traded span at node {np.flatnonzero(resid > 1e-8)[0]}"
-
-
-def _proportions_from_wealth(tree, wealth: AdaptedProcess, returns: AdaptedProcess
-                             ) -> PredictableProcess:
-    """Minimum-norm proportions pi (bank component balancing to sum 1) with
-    d(wealth)/wealth_- = pi · d(returns) at every node."""
-    sol, resid = _fit_proportions(tree, wealth.values, returns.increments())
-    if np.any(resid > 1e-8):
-        raise InvariantViolationError(_off_span_message(resid))
-    return PredictableProcess.from_steps(tree, np.column_stack([1.0 - sol.sum(axis=1), sol]))
 
 
 def fit_steps(tree: EventTree, D: np.ndarray, target: np.ndarray):

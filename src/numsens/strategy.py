@@ -128,7 +128,7 @@ def represent_martingale(M: AdaptedProcess, m: MarketModel,
                          pi_hat: PredictableProcess) -> IntegrandRepresentation:
     """Predictable integrand gamma with (gamma against the pi_hat-discounted
     returns) equal to M, fitted across siblings at every node; raises when
-    an increment leaves the traded span.  The residual is relative to
+    an increment is not attainable.  The residual is relative to
     max(1, largest increment) at its node."""
     if M.values.ndim != 1 or M.values[0] != 0.0:
         raise ContractViolationError("representation target must be scalar and start at 0")
@@ -243,7 +243,7 @@ class StrategyKit:
 
     @property
     def pi_hat(self) -> PredictableProcess:
-        return self.optimum.primal.strategy_base
+        return self.optimum.primal.strategy
 
     @cached_property
     def _martingales(self) -> tuple:

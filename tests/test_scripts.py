@@ -1,7 +1,8 @@
-"""The survey script runs end to end on its smallest survey.
+"""The scripts run end to end on their smallest inputs.
 
-`scripts/survey_verify_all.py` backs survey results quoted in ROADMAP.md;
-this keeps it importable and its summary line in the form readers quote."""
+`scripts/survey_verify_all.py` backs survey results quoted in ROADMAP.md
+and `scripts/report_digests.py` the report-byte claims of CHANGES.md; this
+keeps them importable and their output in the form readers quote."""
 
 import importlib.util
 import re
@@ -35,6 +36,30 @@ def test_survey_smoke_on_complete_binomials(capsys):
     assert capsys.readouterr().out.splitlines() == ["0 of 4 runs fail"]
     with pytest.raises(SystemExit):
         _survey().main(["--branches", "4"])
+
+
+DIGESTS = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
+
+
+def test_report_digests_print_the_same_lines_twice(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("report_digests", DIGESTS)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    assert len(digests.MARKETS) * len(digests.UTILITIES) == 92
+    # two of the markets keep the smoke test short
+    monkeypatch.setattr(digests, "MARKETS", {k: digests.MARKETS[k]
+                                             for k in ("t1", "tri-seed0-depth2")})
+    outputs = []
+    for _ in range(2):
+        assert digests.main() == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 2 * 4 + 1
+    for line in lines[:-1]:
+        assert re.fullmatch(r"(t1|tri-seed0-depth2) (log|power0\.5|power-2|mixture) [0-9a-f]{64}",
+                            line)
+    assert re.fullmatch(r"all [0-9a-f]{64}", lines[-1])
 
 
 BENCH_PAIRS = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"

@@ -7,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsens import solver
-from numsens.errors import AdmissibilityError, InvariantViolationError, NoOptimizerError
+from numsens.errors import (
+    AdmissibilityError,
+    ContractViolationError,
+    InvariantViolationError,
+    NoOptimizerError,
+    NumericalError,
+)
 from numsens.harness import risk_tolerance_report
 from numsens.instances import two_asset_market
-from numsens.market import MarketModel, numeraire
+from numsens.market import MarketModel, numeraire, perturbed_prices
 from numsens.preferences import log_utility, mixture_utility, power_utility
 from numsens.sensitivity import expansion_report
 from numsens.solver import (
@@ -255,7 +261,7 @@ def test_random_one_period_against_grid(seed):
     assert sol.foc_residual <= 1e-10
 
 
-def test_redundant_asset_diagnostics(logu):
+def _redundant_asset_market():
     # duplicated stock: collinear one-step returns
     tree = EventTree([-1, 0, 0], [1.0, 0.5, 0.5])
     R = np.zeros((3, 3))
@@ -263,7 +269,11 @@ def test_redundant_asset_diagnostics(logu):
     R[2, 1:] = [-0.1, -0.2]
     theta = np.zeros((3, 3))
     theta[1:] = [0.0, 1.0, 0.0]
-    m = MarketModel(tree, AdaptedProcess(tree, R), PredictableProcess(tree, theta))
+    return MarketModel(tree, AdaptedProcess(tree, R), PredictableProcess(tree, theta))
+
+
+def test_redundant_asset_diagnostics(logu):
+    m = _redundant_asset_market()
     space = attainable_space(m)
     assert space.redundant_nodes == (0,)
     sol = solve_primal(m, logu, 1.0, 0.0)
@@ -297,21 +307,26 @@ def test_marginal_matches_fd(twop, mix):
         assert sol.marginal == pytest.approx(fd, rel=1e-8)
 
 
-def test_solution_strategies_regenerate_wealth(twop, mix):
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("market", ["twop", "two2", "redundant"])
+def test_solution_strategies_regenerate_wealth(request, mix, market, sign):
     from numsens.tree import stochastic_exponential, stochastic_integral
-    sol = solve_primal(twop, mix, 1.3, 0.25)
-    # base-unit proportions against the base returns reproduce the carried wealth
-    base = 1.3 * stochastic_exponential(
-        stochastic_integral(sol.strategy_base, twop.returns)).values
+    m = {"two2": lambda: two_asset_market(depth=2),
+         "redundant": _redundant_asset_market}.get(market, lambda: None)() \
+        or request.getfixturevalue(market)
+    eps = sign * 0.25 * min(m.eps0, 1.0)
+    sol = solve_primal(m, mix, 1.3, eps)
+    # the one strategy, against the base returns, reproduces the carried wealth
+    base = 1.3 * stochastic_exponential(stochastic_integral(sol.strategy, m.returns)).values
     assert np.max(np.abs(base - sol.zwealth.values) / sol.zwealth.values) <= 1e-11
-    # perturbed-unit proportions against the perturbed price returns
-    S = __import__("numsens.market", fromlist=["perturbed_prices"]).perturbed_prices(twop, 0.25)
-    dR = np.zeros_like(S.values)
-    for i in range(1, twop.tree.n_nodes):
-        par = twop.tree.parent[i]
-        dR[i] = dR[par] + (S.values[i] - S.values[par]) / S.values[par]
+    # and, against the perturbed price returns, the wealth in the perturbed unit
+    S = perturbed_prices(m, eps).values
+    dR = np.zeros_like(S)
+    for i in range(1, m.tree.n_nodes):
+        par = m.tree.parent[i]
+        dR[i] = dR[par] + (S[i] - S[par]) / S[par]
     pert = 1.3 * stochastic_exponential(
-        stochastic_integral(sol.strategy, AdaptedProcess(twop.tree, dR))).values
+        stochastic_integral(sol.strategy, AdaptedProcess(m.tree, dR))).values
     assert np.max(np.abs(pert - sol.wealth.values) / sol.wealth.values) <= 1e-11
 
 
@@ -319,26 +334,9 @@ def test_solution_strategies_regenerate_wealth(twop, mix):
 def test_stacked_proportions_match_the_per_node_fit(seed, logu):
     for m in (make_random_tree(seed, depth=3), two_asset_market(depth=2)):
         sol = solve_primal(m, logu, 1.0, 0.05)
-        got = solver._proportions_from_wealth(m.tree, sol.zwealth, m.returns).values
         want = PredictableProcess.from_steps(
             m.tree, naive_proportions(m.tree, sol.zwealth, m.returns)).values
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-def test_wealth_off_the_traded_span_fails_the_solve(monkeypatch, twop, logu):
-    leaf = int(twop.tree.leaves[0])
-    proportions = solver._proportions_from_wealth
-
-    def bumped(tree, wealth, returns):
-        values = wealth.values.copy()
-        values[leaf] *= 1.01
-        return proportions(tree, AdaptedProcess(tree, values), returns)
-
-    # solve_primal checks the span of both strategies when it builds them
-    monkeypatch.setattr(solver, "_proportions_from_wealth", bumped)
-    with pytest.raises(InvariantViolationError,
-                       match=f"traded span at node {twop.tree.parent[leaf]}$"):
-        solve_primal(twop, logu, 1.0, 0.1)
+        assert np.max(np.abs(sol.strategy.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def _points(m):
@@ -378,27 +376,56 @@ def test_a_failing_point_fails_alone(twop, logu):
         batch.checked()
 
 
-@pytest.mark.parametrize("unit", ["base", "perturbed"])
-def test_batched_points_keep_both_span_checks(monkeypatch, twop, logu, unit):
-    # wealth bumped off the traded span at one leaf, in one unit: every
-    # point that checks that unit fails at the node solve_primal names
+def test_points_that_all_fail_keep_their_errors(monkeypatch, twop, mix):
+    # every point fails before Newton: |eps| at eps0
+    batch = solve_values(twop, mix, [1.0, 1.2], [twop.eps0, -twop.eps0])
+    assert all(isinstance(err, AdmissibilityError) for err in batch.errors)
+    assert np.isnan(batch.value).all() and np.isnan(batch.marginal).all()
+    with pytest.raises(AdmissibilityError, match="eps0"):
+        solve_primal(twop, mix, 1.0, twop.eps0)
+    # every point fails in Newton: one step from the riskless start
+    monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 1)
+    batch = solve_values(twop, mix, [1.0, 1.2], [0.1, -0.1])
+    assert all(isinstance(err, NumericalError) for err in batch.errors)
+    assert np.isnan(batch.value).all()
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_primal(twop, mix, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("xs, eps", [([1.0, 1.0, 1.0], [0.1]), ([1.0, 1.2], 0.1)],
+                         ids=["list", "scalar"])
+def test_values_reject_unequal_numbers_of_wealths_and_perturbations(twop, logu, xs, eps):
+    with pytest.raises(ContractViolationError, match="initial wealths but 1 perturbations"):
+        solve_values(twop, logu, xs, eps)
+
+
+def test_values_reject_a_start_column_without_its_point(twop, logu):
+    n = twop.space.dim
+    with pytest.raises(ContractViolationError, match=rf"\({n}, 2\); got shape \({n}, 3\)"):
+        solve_values(twop, logu, [1.0, 1.2], [0.1, 0.2], start=np.zeros((n, 3)))
+
+
+def test_primal_rejects_a_start_of_the_wrong_length(twop, logu):
+    n = twop.space.dim
+    with pytest.raises(ContractViolationError, match=rf"got shape \({n + 1}, 1\)"):
+        solve_primal(twop, logu, 1.0, 0.1, start=np.zeros(n + 1))
+
+
+def test_batched_points_keep_the_span_check(monkeypatch, twop, logu):
+    # wealth bumped off the traded span at one leaf: every point fails at
+    # the node solve_primal names
     leaf = int(twop.tree.leaves[0])
-    base_inc = twop.returns.increments()
     fit = solver._fit_proportions
 
     def bumped(tree, Wv, dRet):
-        if (dRet is base_inc) == (unit == "base"):
-            Wv = Wv.copy()
-            Wv[..., leaf] *= 1.01
+        Wv = Wv.copy()
+        Wv[..., leaf] *= 1.01
         return fit(tree, Wv, dRet)
 
     monkeypatch.setattr(solver, "_fit_proportions", bumped)
     xs, eps = map(list, zip(*_points(twop)))
     batch = solve_values(twop, logu, xs, eps)
     for i, (x, e) in enumerate(zip(xs, eps)):
-        if unit == "perturbed" and e == 0.0:
-            assert batch.errors[i] is None
-            continue
         with pytest.raises(InvariantViolationError) as serial:
             solve_primal(twop, logu, x, e)
         assert isinstance(batch.errors[i], InvariantViolationError)
