@@ -5,7 +5,8 @@ Everything here lives under the pricing measure with leaf density
 is spanned, node by node, by the one-step increments of the prices
 discounted by the optimal wealth; its product-orthogonal complement is the
 per-node orthocomplement inside the zero-conditional-mean space.  Both are
-stacks of equal-rank blocks from one stacked SVD (`tree.rank_stacks`), each
+stacks of equal-rank blocks from one stacked pivoted Gram–Schmidt
+(`tree.rank_stacks`; the complement runs it on the identity), each
 built into a `tree.BlockPlan`, on which the tree-elimination kernel solves
 the six auxiliary weighted least-squares problems (`Phi` and `Psi` are
 views built on access, read by no solve); one routine serves both sides,
@@ -25,7 +26,7 @@ from .errors import ContractViolationError
 from .market import MarketModel, perturbation_statistics
 from .preferences import Utility
 from .solver import Optimum, solve_pair
-from .tree import BlockPlan, EventTree, rank_stacks
+from .tree import BlockPlan, EventTree, gram_schmidt, rank_stacks
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +73,12 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray,
                      complement: bool = True) -> MartingaleBasis:
     """Per-node spans of the one-step increments of the discounted prices
     `Sdisc` and, with `complement`, their orthocomplement inside the
-    zero-conditional-mean space, all under the leaf measure `r`.  Without
-    it the basis has no dual plan and its blocks are compensated again, as
-    the SVD's weak directions carry the increments' compensation error over
-    their singular value: a kernel fit of a martingale under `r` is then its
-    node-by-node (GKW) projection.  The expansion's bases keep the SVD's
-    blocks, whose auxiliary values `perfbench/reference.json` records."""
+    zero-conditional-mean space, all under the leaf measure `r`; without it
+    the basis has no dual plan.  Every column is projected off the constants
+    sqrt(w) as it is taken, so a weak direction (a column taken with a small
+    remaining norm) does not carry the increments' compensation error over
+    that norm: the blocks are compensated to rounding, and a kernel fit of a
+    martingale under `r` is its node-by-node (GKW) projection."""
     mass = tree.node_mass(r)
     child_w = np.ones(tree.n_nodes)
     child_w[1:] = mass[1:] / mass[tree.parent[1:]]
@@ -86,22 +87,16 @@ def orthogonal_spans(tree: EventTree, Sdisc: np.ndarray, r: np.ndarray,
         w = child_w[ch]
         inc = Sdisc[ch] - Sdisc[nodes, None]
         # compensate any residual conditional mean, then orthonormalize in
-        # the conditional inner product
+        # the conditional inner product, off the constants sqrt(w) again
         inc = inc - (w[:, None, :] @ inc)
-        sw = np.sqrt(w)
-        for sel, u_r in rank_stacks(inc * sw[:, :, None]):
-            at, rank, sw_r = nodes[sel], u_r.shape[2], sw[sel][:, :, None]
-            V = u_r / sw_r
-            if not complement:
-                primal.append((at, V - w[sel][:, None, :] @ V))
-                continue
-            primal.append((at, V))
-            if rank == k:
-                raise ContractViolationError(f"span dimensions at node {at[0]} do not fill "
-                                             "the one-step space")
-            # complement of span{sqrt(w) P-cols} within {v: sw·v = 0}
-            u2 = np.linalg.svd(np.concatenate([sw_r, u_r], axis=2), full_matrices=True)[0]
-            dual.append((at, u2[:, :, rank + 1:] / sw_r))
+        sw = np.sqrt(w)[:, :, None]
+        for sel, u_r in rank_stacks(inc * sw, sw):
+            at, sw_r = nodes[sel], sw[sel]
+            primal.append((at, u_r / sw_r))
+            if complement and u_r.shape[2] + 1 < k:
+                # complement of span{sqrt(w) P-cols} within {v: sw·v = 0}
+                eye = np.broadcast_to(np.eye(k), (len(at), k, k))
+                dual.append((at, gram_schmidt(eye, np.concatenate([sw_r, u_r], axis=2))[1] / sw_r))
     return MartingaleBasis(tree=tree, weights=r, child_weights=child_w,
                            primal_plan=BlockPlan(tree, primal),
                            dual_plan=BlockPlan(tree, dual) if complement else None)

@@ -386,7 +386,7 @@ def _newton_terminal(plan, N, x, utility, start):
     alpha = np.zeros((B, plan.n_cols))
     Z = np.repeat(x[:, None], len(leaves), axis=1)
     starts = np.full(B, "riskless", dtype=object)
-    if not B:   # the kernel takes no empty batch
+    if not B:   # the stop test below takes the least residual of the rows
         return Z, alpha, np.zeros(0, dtype=np.int64), [], starts
 
     def begin(rows, coeffs, name):

@@ -14,9 +14,10 @@ arrays, not node by node: `EventTree.cumulate` passes down from the root,
 `aggregate` up from the leaves and `sibling_sum` one level up, and per-node
 linear algebra is stacked over `branch_groups` or over a `BlockPlan`.  A
 span of one-step increments takes one form, the stacks of equal-rank blocks
-that `rank_stacks` cuts from a stacked SVD; a `BlockPlan` regroups them to
-run the least-squares elimination, expand coefficients into a process, pair
-leaf values with its columns and build the dense payoff matrix when asked.
+that `rank_stacks` cuts from one pivoted Gram–Schmidt run on all the nodes'
+blocks at once (`gram_schmidt`); a `BlockPlan` regroups them to run the
+least-squares elimination, expand coefficients into a process, pair leaf
+values with its columns and build the dense payoff matrix when asked.
 The first three take a trailing batch axis: leaf arrays (n_leaves, B) and
 coefficients (n_cols, B) pose B problems on one plan, computed together
 and each as it is alone.
@@ -350,13 +351,53 @@ def quadratic_covariation(X: AdaptedProcess, Y: AdaptedProcess) -> AdaptedProces
 # taking the next rank; an internal node in no stack has rank 0.
 
 
-def rank_stacks(A):
-    """The column spans of the matrices A[i] of an (n, k, d) stack, as
-    (selector, U) pairs of equal numerical rank r: U is (selected rows, k, r)
-    and holds the leading left singular vectors of those rows, orthonormal."""
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
-    return [(ranks == r, u[ranks == r, :, :r]) for r in np.unique(ranks).tolist()]
+def rank_stacks(A, against=None):
+    """The column spans of the matrices A[i] of an (n, k, d) stack (their
+    parts orthogonal to `against`, when given), as (selector, U) pairs of
+    equal numerical rank r: U is (selected rows, k, r), orthonormal, from
+    `gram_schmidt`."""
+    ranks, U = gram_schmidt(A, against)
+    return [(ranks == r, U[ranks == r, :, :r]) for r in np.unique(ranks).tolist()]
+
+
+def gram_schmidt(A, against=None):
+    """Pivoted Gram–Schmidt on every matrix A[i] of an (n, k, d) stack at
+    once: (ranks, U), U[i] holding orthonormal columns that span A[i]'s
+    columns, or their part orthogonal to the a orthonormal columns of
+    against[i], and zero past ranks[i].  Each of the min(k - a, d) steps
+    takes the column of largest remaining norm and ends a node's basis when
+    that norm is at most _RANK_TOL times A[i]'s largest column norm.  Every
+    column is projected off the basis before it twice, which keeps U
+    orthonormal, and orthogonal to `against`, to rounding.
+
+    This rank test and the singular-value one differ only where some σ_j/σ_1
+    lies within a small factor of _RANK_TOL: the j-th remaining norm is at
+    least σ_j/sqrt(d - j + 1), at most a factor depending on d alone above
+    σ_j, and the largest column norm lies within sqrt(d) of σ_1."""
+    n, k, d = A.shape
+    a = 0 if against is None else against.shape[2]
+    Q = np.zeros((n, k, a + min(k - a, d)))
+    if a:
+        Q[:, :, :a] = against
+    R = A - Q[:, :, :a] @ (Q[:, :, :a].mT @ A)
+    scale = _RANK_TOL * np.sqrt(np.max(np.einsum("nkd,nkd->nd", A, A), axis=1, initial=0.0))
+    ranks = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)
+    for j in range(a, Q.shape[2]):
+        pick = np.argmax(np.einsum("nkd,nkd->nd", R, R), axis=1)
+        q = R[rows, :, pick]
+        q -= (Q[:, :, :j] @ (Q[:, :, :j].mT @ q[:, :, None]))[:, :, 0]
+        norm = np.linalg.norm(q, axis=1)
+        live = (ranks == j - a) & (norm > scale)
+        if not live.any():
+            break
+        # a node whose basis has ended takes zero columns
+        q *= np.where(live, 1.0 / np.where(live, norm, 1.0), 0.0)[:, None]
+        Q[:, :, j] = q
+        ranks += live
+        R[rows, :, pick] = 0.0
+        R -= q[:, :, None] * (q[:, None, :] @ R)
+    return ranks, Q[:, :, a:]
 
 
 class BlockPlan:
@@ -533,7 +574,7 @@ def _rows(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2:
         return a
-    return np.ascontiguousarray(a.T if a.shape[1] > 1 else a[:, 0])
+    return np.ascontiguousarray(a.T if a.shape[1] != 1 else a[:, 0])
 
 
 def _per_row(value, rows):

@@ -8,7 +8,9 @@ campaign's dual re-solve as it was before its bracket was seeded, the
 oracle of `test_harness.py`.  `naive_complete_tree_terminal` is the
 closed-form solve of a complete tree (pricing weights and a budget
 root-find) that the library ran beside Newton before every tree went
-through one solver, the oracle of `test_complete_trees.py`."""
+through one solver, the oracle of `test_complete_trees.py`.  `naive_span`
+and `naive_complement` factor one block by SVD, as the spans were factored
+before the stacked Gram–Schmidt, the oracles of `test_tree.py`."""
 
 import math
 
@@ -19,6 +21,7 @@ from numsens.errors import InvariantViolationError, RepresentationError
 from numsens.market import numeraire, perturbed_prices
 from numsens.solver import solve_dual, solve_primal
 from numsens.strategy import discount_direction
+from numsens.tree import _RANK_TOL
 
 
 def naive_time(parent):
@@ -299,3 +302,18 @@ def naive_complete_tree_terminal(m, utility, x, eps):
             break
         lam -= (float(Ql @ Z) - x) / slope
     return wealth(lam)
+
+
+def naive_span(A):
+    """(rank, U, s) of one k×d block A by SVD: the rank counts the singular
+    values s above _RANK_TOL times the largest, and U holds the leading
+    rank left singular vectors."""
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > _RANK_TOL * max(s[0], 1e-300)))
+    return rank, u[:, :rank], s
+
+
+def naive_complement(Q):
+    """Orthonormal columns completing the orthonormal columns of Q to a
+    basis, the trailing left singular vectors of a full SVD."""
+    return np.linalg.svd(Q, full_matrices=True)[0][:, Q.shape[1]:]

@@ -31,7 +31,7 @@ from numsens.solver import (
 from numsens.tree import AdaptedProcess, EventTree, PredictableProcess
 
 from conftest import make_random_one_period, make_random_tree, one_period_grid_value
-from reference_loops import naive_proportions
+from reference_loops import naive_proportions, naive_span
 
 
 def test_t1_log_base_solution(t1, logu):
@@ -276,6 +276,8 @@ def test_redundant_asset_diagnostics(logu):
     m = _redundant_asset_market()
     space = attainable_space(m)
     assert space.redundant_nodes == (0,)
+    D = m.returns.increments()[m.tree.children[0], 1:]
+    assert naive_span(D)[0] == 1 < min(D.shape)
     sol = solve_primal(m, logu, 1.0, 0.0)
     assert sol.diagnostics["redundant_nodes"] == [0]
     assert sol.foc_residual <= 1e-10

@@ -13,13 +13,15 @@ from numsens.tree import (
     BlockPlan,
     EventTree,
     PredictableProcess,
+    _RANK_TOL,
     quadratic_covariation,
+    rank_stacks,
     stochastic_exponential,
     stochastic_integral,
 )
 
 from conftest import make_mixed_tree, make_random_tree
-from reference_loops import naive_process_from_coefficients
+from reference_loops import naive_complement, naive_process_from_coefficients, naive_span
 
 
 def trinomial_tree():
@@ -297,6 +299,87 @@ def test_payoff_matrix_matches_coefficient_process_bases(seed, dim):
 
 
 # ---------------------------------------------------------------------------
+# the stacked Gram–Schmidt against the SVD
+
+
+def structured_stack(rng, n, k, d):
+    """n random k×d blocks, each generic, with a zero column, with a
+    duplicated column or exactly rank deficient (a product of small integer
+    factors), scaled by powers of two, which keeps them exact."""
+    A = rng.normal(size=(n, k, d))
+    for i, kind in enumerate(rng.integers(0, 4, size=n).tolist()):
+        if kind == 1:
+            A[i, :, rng.integers(d)] = 0.0
+        elif kind == 2 and d > 1:
+            a, b = rng.choice(d, 2, replace=False)
+            A[i, :, b] = A[i, :, a]
+        elif kind == 3:
+            r = rng.integers(0, min(k, d))
+            A[i] = rng.integers(-3, 4, (k, r)) @ rng.integers(-3, 4, (r, d))
+    return A * 2.0 ** rng.integers(-20, 21, size=(n, 1, 1))
+
+
+def _clear_of_tol(s):
+    """Whether no singular value ratio lies within a factor 10 of the rank
+    tolerance, where the two rank tests may differ."""
+    ratio = s / max(s[0], 1e-300)
+    return bool(np.all((ratio < _RANK_TOL / 10) | (ratio > _RANK_TOL * 10)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 3))
+def test_rank_stacks_match_the_svd_oracle(seed, k, d):
+    A = structured_stack(np.random.default_rng(seed), 12, k, d)
+    seen = np.zeros(len(A), dtype=int)
+    for sel, U in rank_stacks(A):
+        r = U.shape[2]
+        seen += sel
+        assert np.abs(U.mT @ U - np.eye(r)).max(initial=0.0) <= 1e-14
+        for block, U_i in zip(A[sel], U):
+            rank, u, s = naive_span(block)
+            if _clear_of_tol(s):
+                assert r == rank
+            # the span is fixed to rounding where its weakest kept direction
+            # stands well clear of the dropped ones
+            if r == rank and (r == 0 or s[r - 1] >= 1e-3 * s[0]):
+                assert np.abs(U_i @ U_i.T - u @ u.T).max() <= 1e-12
+    assert np.all(seen == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 3))
+def test_complement_blocks_fill_the_one_step_space(seed, k, d):
+    rng = np.random.default_rng(seed)
+    # the root and each of its k children branch k ways; prices stay 0 to
+    # the children of the root, so the blocks below them are the leaf prices
+    parent = [-1] + [0] * k + [c for c in range(1, k + 1) for _ in range(k)]
+    tree = EventTree(parent, np.r_[1.0, rng.dirichlet(np.ones(k), size=k + 1).ravel()])
+    nodes, ch = tree.branch_groups[k]
+    prices = np.zeros((tree.n_nodes, d))
+    prices[ch[1:]] = structured_stack(rng, k, k, d)
+    basis = orthogonal_spans(tree, prices, tree.leaf_prob)
+    primal = {node: V for node, _, V in basis.primal_plan.blocks()}
+    dual = {node: V for node, _, V in basis.dual_plan.blocks()}
+    for node, children in zip(nodes.tolist(), ch):
+        w = basis.child_weights[children]
+        sw = np.sqrt(w)[:, None]
+        U = primal.get(node, np.zeros((k, 0))) * sw
+        C = dual.get(node, np.zeros((k, 0))) * sw
+        moves = prices[children]
+        rank, _, s = naive_span((moves - w @ moves) * sw)
+        # moves equal across the children compensate to rounding noise,
+        # whose rank neither factorization defines
+        if _clear_of_tol(s) and s[0] > 1e-8 * np.abs(moves).max():
+            assert U.shape[1] == rank
+        assert C.shape[1] == k - U.shape[1] - 1
+        assert np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0) <= 1e-14
+        assert np.abs(C.T @ C - np.eye(C.shape[1])).max(initial=0.0) <= 1e-14
+        assert np.abs(C.T @ np.column_stack([sw, U])).max(initial=0.0) <= 1e-14
+        # the same complement as the full SVD's, up to rotation
+        oracle = naive_complement(np.column_stack([sw, U]))
+        assert np.abs(C @ C.T - oracle @ oracle.T).max() <= 1e-12
+
+# ---------------------------------------------------------------------------
 # the elimination kernel against dense weighted least squares
 # ---------------------------------------------------------------------------
 
@@ -511,3 +594,15 @@ def test_each_batch_column_is_the_one_column_call(kind, seed):
         assert np.array_equal(nodes[:, j], plan.process(c[:, j], starts[j]))
         assert np.array_equal(grad[:, j], plan.gradient(target[:, j]))
 
+
+
+@pytest.mark.parametrize("kind", ["trinomial", "four-branch"])
+def test_an_empty_batch_gives_empty_columns(kind):
+    tree, plan, _ = _batch_case(kind, 1)
+    empty = np.zeros((tree.n_leaves, 0))
+    for start in (None, 0.25, np.zeros(0)):
+        values, coeffs, deficient = plan.solve(empty, empty, start)
+        assert values.shape == (tree.n_nodes, 0) and coeffs.shape == (plan.n_cols, 0)
+        assert deficient.shape == (0,)
+    assert plan.process(np.zeros((plan.n_cols, 0)), np.zeros(0)).shape == (tree.n_nodes, 0)
+    assert plan.gradient(empty).shape == (plan.n_cols, 0)
