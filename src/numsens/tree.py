@@ -395,7 +395,6 @@ def gram_schmidt(A, against=None):
         q *= np.where(live, 1.0 / np.where(live, norm, 1.0), 0.0)[:, None]
         Q[:, :, j] = q
         ranks += live
-        R[rows, :, pick] = 0.0
         R -= q[:, :, None] * (q[:, None, :] @ R)
     return ranks, Q[:, :, a:]
 

@@ -339,8 +339,8 @@ def test_rank_stacks_match_the_svd_oracle(seed, k, d):
             rank, u, s = naive_span(block)
             if _clear_of_tol(s):
                 assert r == rank
-            # the span is fixed to rounding where its weakest kept direction
-            # stands well clear of the dropped ones
+            # rounding moves the span by about eps·σ_1/σ_r, which this keeps
+            # well below 1e-12
             if r == rank and (r == 0 or s[r - 1] >= 1e-3 * s[0]):
                 assert np.abs(U_i @ U_i.T - u @ u.T).max() <= 1e-12
     assert np.all(seen == 1)
@@ -367,8 +367,9 @@ def test_complement_blocks_fill_the_one_step_space(seed, k, d):
         C = dual.get(node, np.zeros((k, 0))) * sw
         moves = prices[children]
         rank, _, s = naive_span((moves - w @ moves) * sw)
-        # moves equal across the children compensate to rounding noise,
-        # whose rank neither factorization defines
+        # moves equal across the children compensate to rounding noise
+        # along sqrt(w), which the SVD spans and the projection off sqrt(w)
+        # removes (the test below)
         if _clear_of_tol(s) and s[0] > 1e-8 * np.abs(moves).max():
             assert U.shape[1] == rank
         assert C.shape[1] == k - U.shape[1] - 1
@@ -378,6 +379,17 @@ def test_complement_blocks_fill_the_one_step_space(seed, k, d):
         # the same complement as the full SVD's, up to rotation
         oracle = naive_complement(np.column_stack([sw, U]))
         assert np.abs(C @ C.T - oracle @ oracle.T).max() <= 1e-12
+
+
+def test_a_riskless_step_spans_no_hedge():
+    # every child moves the prices by the same amount
+    tree = EventTree([-1, 0, 0, 0], [1.0, 0.2, 0.3, 0.5])
+    prices = np.array([[1.0, 2.0], [1.1, 2.3], [1.1, 2.3], [1.1, 2.3]])
+    for seed in range(20):
+        r = np.random.default_rng(seed).uniform(0.5, 1.5, 3) * tree.leaf_prob
+        basis = orthogonal_spans(tree, prices, r)
+        assert basis.primal_dim == 0 and basis.dual_dim == 2
+
 
 # ---------------------------------------------------------------------------
 # the elimination kernel against dense weighted least squares
@@ -593,7 +605,6 @@ def test_each_batch_column_is_the_one_column_call(kind, seed):
     for j in range(B):
         assert np.array_equal(nodes[:, j], plan.process(c[:, j], starts[j]))
         assert np.array_equal(grad[:, j], plan.gradient(target[:, j]))
-
 
 
 @pytest.mark.parametrize("kind", ["trinomial", "four-branch"])
